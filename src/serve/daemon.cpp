@@ -597,7 +597,8 @@ Daemon::handleRequest(std::shared_ptr<Connection>& conn,
     // RETRY_AFTER whose hint grows with consecutive refusals, so clients
     // back off a stretched publish instead of hammering it.
     const uint64_t pin_start = trace ? util::nowNanos() : 0;
-    IndexManager::Handle handle = index_->pin();
+    uint64_t serving = 0;
+    IndexManager::Handle handle = index_->pin(&serving);
     if (trace) {
         trace->span(obs::SpanStage::GenerationPin,
                     static_cast<uint32_t>(tracer_->controlLane()),
@@ -613,7 +614,7 @@ Daemon::handleRequest(std::shared_ptr<Connection>& conn,
         Response retry;
         retry.id = request.id;
         retry.status = ResponseStatus::RetryAfter;
-        retry.generation = index_->generation();
+        retry.generation = serving;
         retry.retryAfterMillis = params_.retryBaseMillis * rejects;
         if (trace) {
             retry.traceId = trace->traceId;

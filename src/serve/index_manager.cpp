@@ -70,9 +70,12 @@ IndexManager::IndexManager(io::IndexedPangenome&& pangenome,
 }
 
 IndexManager::Handle
-IndexManager::pin() const
+IndexManager::pin(uint64_t* serving) const
 {
     if (publishing_.load(std::memory_order_acquire)) {
+        if (serving != nullptr) {
+            *serving = windowGeneration_.load(std::memory_order_relaxed);
+        }
         return nullptr;
     }
     std::lock_guard<std::mutex> lock(pinMutex_);
@@ -174,6 +177,10 @@ IndexManager::swap(const std::string& path, obs::Hub* hub)
         // Throw rolls back cleanly and a Crash models dying mid-swap
         // with the old image still the durable truth.
         {
+            // Stored before the window's release store, so a pin that
+            // sees the window also sees the generation it refuses for.
+            windowGeneration_.store(serving->number,
+                                    std::memory_order_relaxed);
             PublishWindow window(publishing_);
             fault::inject("serve.swap.publish");
             gen->loadSeconds = timer.seconds();

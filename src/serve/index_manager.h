@@ -118,9 +118,11 @@ class IndexManager
      * Pin the current generation.  Returns nullptr only while a swap is
      * inside its publish window — the daemon answers those admissions
      * with RETRY_AFTER instead of racing the flip.  A non-null handle is
-     * always a complete, fully-constructed generation.
+     * always a complete, fully-constructed generation.  On a refusal,
+     * `serving` (when given) receives the generation that serves through
+     * the window, even if the flip lands before the caller reads it.
      */
-    Handle pin() const;
+    Handle pin(uint64_t* serving = nullptr) const;
 
     /** Number of the currently published generation (1-based). */
     uint64_t generation() const;
@@ -175,6 +177,8 @@ class IndexManager
     mutable std::mutex pinMutex_;
     /** Raised for the duration of the publish window. */
     std::atomic<bool> publishing_{false};
+    /** Generation serving through the current publish window. */
+    std::atomic<uint64_t> windowGeneration_{0};
     Handle current_;
     std::vector<Retired> retired_;
     uint64_t retiredCount_ = 0;

@@ -27,37 +27,31 @@ ByteReader::fail(StatusCode code, std::string what) const
 }
 
 uint64_t
-ByteReader::getVarint()
+ByteReader::getVarintChecked()
 {
     uint64_t value = 0;
-    int shift = 0;
-    while (true) {
+    for (size_t i = 0;; ++i) {
         if (pos_ >= size_) {
             fail(StatusCode::Truncated,
                  cat("varint truncated at offset ", pos_));
         }
-        uint8_t byte = data_[pos_++];
-        if (shift >= 64) {
+        uint8_t byte = data_[pos_];
+        if (i == kMaxVarintBytes - 1 && byte > 1) {
             fail(StatusCode::Corrupt,
-                 cat("varint too long at offset ", pos_));
+                 cat("varint overflows 64 bits at offset ", pos_));
         }
-        value |= static_cast<uint64_t>(byte & 0x7f) << shift;
+        ++pos_;
+        value |= static_cast<uint64_t>(byte & 0x7f) << (7 * i);
         if (!(byte & 0x80)) {
-            break;
+            return value;
         }
-        shift += 7;
     }
-    return value;
 }
 
-uint8_t
-ByteReader::getByte()
+void
+ByteReader::failByteRead() const
 {
-    if (pos_ >= size_) {
-        fail(StatusCode::Truncated,
-             cat("byte read past end at offset ", pos_));
-    }
-    return data_[pos_++];
+    fail(StatusCode::Truncated, cat("byte read past end at offset ", pos_));
 }
 
 void
@@ -71,17 +65,16 @@ ByteReader::getBytes(void* dst, size_t n)
     pos_ += n;
 }
 
-std::string
-ByteReader::getString()
+void
+ByteReader::getString(std::string& out)
 {
     uint64_t len = getVarint();
     if (len > size_ - pos_) {
         fail(StatusCode::Truncated,
              cat("string of length ", len, " truncated at offset ", pos_));
     }
-    std::string s(reinterpret_cast<const char*>(data_ + pos_), len);
+    out.assign(reinterpret_cast<const char*>(data_ + pos_), len);
     pos_ += len;
-    return s;
 }
 
 void

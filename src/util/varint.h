@@ -37,11 +37,22 @@ zigzagDecode(uint64_t v)
     return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
 }
 
+/** Longest valid varint: ten bytes carry 64 bits (9 x 7 + 1). */
+inline constexpr size_t kMaxVarintBytes = 10;
+
 /**
  * Sequential reader over a byte span.  Bounds-checked: reading past the end
  * throws mg::util::StatusError (corrupt input is a user-facing error) whose
  * Status carries the reader's provenance context (see setContext) plus the
  * byte offset of the violation.
+ *
+ * getVarint() and getByte() are inline.  getVarint() checks bounds once per
+ * value: with at least kMaxVarintBytes left it decodes without per-byte
+ * checks, and in a shorter tail it still decodes a one-byte value inline
+ * (small spans such as GBWT records are mostly that).  Anything else — a
+ * longer value in the tail, or an encoding the fast path declines — goes
+ * through getVarintChecked(), so every error carries the same (code,
+ * section, offset) whichever path saw the bytes first.
  */
 class ByteReader
 {
@@ -66,15 +77,64 @@ class ByteReader
     void setSection(const char* section) { ctxSection_ = section; }
 
     /** Decode one unsigned varint and advance. */
-    uint64_t getVarint();
+    uint64_t
+    getVarint()
+    {
+        if (size_ - pos_ >= kMaxVarintBytes) [[likely]] {
+            const uint8_t* p = data_ + pos_;
+            uint64_t byte = p[0];
+            if (byte < 0x80) {
+                pos_ += 1;
+                return byte;
+            }
+            uint64_t value = byte & 0x7f;
+            for (size_t i = 1; i < kMaxVarintBytes; ++i) {
+                byte = p[i];
+                value |= (byte & 0x7f) << (7 * i);
+                if (byte < 0x80) {
+                    if (i == kMaxVarintBytes - 1 && byte > 1) {
+                        break; // overflows 64 bits: the checked path throws
+                    }
+                    pos_ += i + 1;
+                    return value;
+                }
+            }
+        } else if (pos_ < size_ && data_[pos_] < 0x80) {
+            return data_[pos_++]; // one-byte value in a short tail
+        }
+        return getVarintChecked();
+    }
+    /**
+     * Decode one unsigned varint with a bounds check per byte.  The
+     * reference decoder behind getVarint(): Truncated past the end,
+     * Corrupt on a 10th byte above 1 (bits beyond 64, or an overlong
+     * encoding), both at the offending byte's offset.
+     */
+    uint64_t getVarintChecked();
     /** Decode one zigzag-coded signed varint and advance. */
     int64_t getSignedVarint() { return zigzagDecode(getVarint()); }
     /** Read one raw byte and advance. */
-    uint8_t getByte();
+    uint8_t
+    getByte()
+    {
+        if (pos_ >= size_) [[unlikely]] {
+            failByteRead();
+        }
+        return data_[pos_++];
+    }
     /** Read n raw bytes into dst and advance. */
     void getBytes(void* dst, size_t n);
     /** Read a varint-length-prefixed string. */
-    std::string getString();
+    std::string
+    getString()
+    {
+        std::string s;
+        getString(s);
+        return s;
+    }
+    /** Read a varint-length-prefixed string into `out`, reusing its
+     *  capacity. */
+    void getString(std::string& out);
 
     size_t pos() const { return pos_; }
     size_t remaining() const { return size_ - pos_; }
@@ -89,6 +149,8 @@ class ByteReader
     [[noreturn]] void fail(StatusCode code, std::string what) const;
 
   private:
+    [[noreturn]] void failByteRead() const;
+
     const uint8_t* data_;
     size_t size_;
     size_t pos_ = 0;

@@ -25,6 +25,7 @@
 #include "io/gaf.h"
 #include "sim/pangenome_gen.h"
 #include "sim/read_sim.h"
+#include "test_tmpdir.h"
 
 namespace mg::io {
 namespace {
@@ -33,10 +34,9 @@ namespace {
 std::string
 freshDir(const std::string& name)
 {
-    std::filesystem::path dir =
-        std::filesystem::path(::testing::TempDir()) / name;
+    std::string dir = test::tempPath(name);
     std::filesystem::remove_all(dir);
-    return dir.string();
+    return dir;
 }
 
 Shard

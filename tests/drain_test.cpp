@@ -25,6 +25,7 @@
 #include "serve/stop.h"
 #include "sim/pangenome_gen.h"
 #include "sim/read_sim.h"
+#include "test_tmpdir.h"
 
 namespace mg {
 namespace {
@@ -79,10 +80,9 @@ class DrainFixture : public ::testing::Test
     std::string
     freshDir(const std::string& name) const
     {
-        std::filesystem::path dir =
-            std::filesystem::path(::testing::TempDir()) / name;
+        std::string dir = test::tempPath(name);
         std::filesystem::remove_all(dir);
-        return dir.string();
+        return dir;
     }
 
     giraffe::CheckpointRunParams

@@ -10,7 +10,6 @@
 #include "io/mgz.h"
 #include "io/reads_bin.h"
 #include "sim/pangenome_gen.h"
-#include "sim/read_sim.h"
 #include "util/common.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -28,33 +27,6 @@ validMgz()
     params.haplotypes = 3;
     sim::GeneratedPangenome pg = sim::generatePangenome(params);
     return encodeMgz(pg.graph, pg.gbwt);
-}
-
-std::vector<uint8_t>
-validCapture()
-{
-    sim::PangenomeParams params;
-    params.seed = 702;
-    params.backboneLength = 2000;
-    params.haplotypes = 3;
-    sim::GeneratedPangenome pg = sim::generatePangenome(params);
-    sim::ReadSimParams rparams;
-    rparams.seed = 703;
-    rparams.count = 10;
-    rparams.readLength = 60;
-    map::ReadSet reads = sim::simulateReads(pg, rparams);
-    SeedCapture capture;
-    for (const map::Read& read : reads.reads) {
-        ReadWithSeeds entry;
-        entry.read = read;
-        map::Seed seed;
-        seed.position.handle = graph::Handle(1, false);
-        seed.readOffset = 3;
-        seed.score = 1.0f;
-        entry.seeds.push_back(seed);
-        capture.entries.push_back(entry);
-    }
-    return encodeSeedCapture(capture);
 }
 
 TEST(FuzzTest, TruncatedMgzNeverCrashes)
@@ -91,36 +63,6 @@ TEST(FuzzTest, CorruptedMgzNeverCrashes)
             // Decoded images may be semantically different but must pass
             // their own structural checks or have thrown above.
             pg.graph.validate();
-        } catch (const util::Error&) {
-        }
-    }
-}
-
-TEST(FuzzTest, TruncatedCaptureNeverCrashes)
-{
-    std::vector<uint8_t> bytes = validCapture();
-    util::Rng rng(712);
-    for (int trial = 0; trial < 60; ++trial) {
-        std::vector<uint8_t> cut(
-            bytes.begin(),
-            bytes.begin() + rng.uniform(bytes.size()));
-        try {
-            decodeSeedCapture(cut);
-        } catch (const util::Error&) {
-        }
-    }
-}
-
-TEST(FuzzTest, CorruptedCaptureNeverCrashes)
-{
-    std::vector<uint8_t> bytes = validCapture();
-    util::Rng rng(713);
-    for (int trial = 0; trial < 120; ++trial) {
-        std::vector<uint8_t> bad = bytes;
-        bad[rng.uniform(bad.size())] ^=
-            static_cast<uint8_t>(1 + rng.uniform(255));
-        try {
-            decodeSeedCapture(bad);
         } catch (const util::Error&) {
         }
     }

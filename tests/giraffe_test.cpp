@@ -10,6 +10,7 @@
 #include "giraffe/proxy.h"
 #include "machine/tracer.h"
 #include "sim/input_sets.h"
+#include "test_tmpdir.h"
 
 namespace mg::giraffe {
 namespace {
@@ -202,7 +203,7 @@ TEST_F(PipelineFixture, CaptureRoundTripThroughDiskPreservesValidation)
     ParentEmulator parent = makeParent();
     ParentOutputs parent_out = parent.run(reads_);
     io::SeedCapture capture = parent.capturePreprocessing(reads_);
-    std::string path = ::testing::TempDir() + "/mg_capture.bin";
+    std::string path = test::tempPath("mg_capture.bin");
     io::saveSeedCapture(path, capture);
     io::SeedCapture loaded = io::loadSeedCapture(path);
 

@@ -5,10 +5,10 @@
 #include "io/fastq.h"
 #include "io/file.h"
 #include "io/mgz.h"
-#include "io/reads_bin.h"
 #include "sim/pangenome_gen.h"
 #include "util/common.h"
 #include "util/status.h"
+#include "test_tmpdir.h"
 
 namespace mg::io {
 namespace {
@@ -25,7 +25,7 @@ makePangenome(uint64_t seed = 90)
 
 TEST(FileTest, BytesRoundTrip)
 {
-    std::string path = ::testing::TempDir() + "/mg_file_test.bin";
+    std::string path = test::tempPath("mg_file_test.bin");
     std::vector<uint8_t> bytes = {0, 1, 2, 255, 128, 7};
     writeFileBytes(path, bytes);
     EXPECT_EQ(readFileBytes(path), bytes);
@@ -77,7 +77,7 @@ TEST(MgzTest, RoundTripPreservesEverything)
 TEST(MgzTest, FileRoundTrip)
 {
     sim::GeneratedPangenome pg = makePangenome(91);
-    std::string path = ::testing::TempDir() + "/mg_test.mgz";
+    std::string path = test::tempPath("mg_test.mgz");
     saveMgz(path, pg.graph, pg.gbwt);
     Pangenome loaded = loadMgz(path);
     EXPECT_EQ(loaded.graph.numNodes(), pg.graph.numNodes());
@@ -182,48 +182,6 @@ TEST(MgzTest, InspectReportsEveryDamagedSection)
     EXPECT_FALSE(report.sections[3].crcOk); // gbwt
     EXPECT_NE(report.sections[0].crcComputed,
               report.sections[0].crcStored);
-}
-
-TEST(SeedCaptureTest, RoundTrip)
-{
-    SeedCapture capture;
-    capture.pairedEnd = true;
-    for (int r = 0; r < 3; ++r) {
-        ReadWithSeeds entry;
-        entry.read.name = "read" + std::to_string(r);
-        entry.read.sequence = "ACGTACGTAC";
-        entry.read.mate = r == 0 ? 1 : SIZE_MAX;
-        for (int s = 0; s < 4; ++s) {
-            map::Seed seed;
-            seed.position.handle = graph::Handle(10 + s, s % 2 == 1);
-            seed.position.offset = static_cast<uint32_t>(s * 3);
-            seed.readOffset = static_cast<uint32_t>(s);
-            seed.onReverseRead = s % 2 == 0;
-            seed.score = 0.125f * static_cast<float>(s + 1);
-            entry.seeds.push_back(seed);
-        }
-        capture.entries.push_back(entry);
-    }
-    std::vector<uint8_t> bytes = encodeSeedCapture(capture);
-    SeedCapture loaded = decodeSeedCapture(bytes);
-    EXPECT_EQ(loaded.pairedEnd, capture.pairedEnd);
-    ASSERT_EQ(loaded.entries.size(), capture.entries.size());
-    for (size_t r = 0; r < capture.entries.size(); ++r) {
-        EXPECT_EQ(loaded.entries[r].read.name,
-                  capture.entries[r].read.name);
-        EXPECT_EQ(loaded.entries[r].read.sequence,
-                  capture.entries[r].read.sequence);
-        EXPECT_EQ(loaded.entries[r].read.mate,
-                  capture.entries[r].read.mate);
-        ASSERT_EQ(loaded.entries[r].seeds.size(),
-                  capture.entries[r].seeds.size());
-        for (size_t s = 0; s < capture.entries[r].seeds.size(); ++s) {
-            const map::Seed& a = loaded.entries[r].seeds[s];
-            const map::Seed& b = capture.entries[r].seeds[s];
-            EXPECT_TRUE(a == b);
-            EXPECT_EQ(a.score, b.score); // exact float round-trip
-        }
-    }
 }
 
 TEST(ExtensionsIoTest, RoundTrip)

@@ -32,15 +32,12 @@
 #include "serve/daemon.h"
 #include "sim/input_sets.h"
 #include "util/status.h"
+#include "test_tmpdir.h"
 
 namespace mg::io {
 namespace {
 
-std::string
-tempPath(const std::string& name)
-{
-    return std::string(::testing::TempDir()) + "/" + name;
-}
+using test::tempPath;
 
 /** One input-set analog with prebuilt indexes and its v2/v3 containers. */
 struct V3World
@@ -481,8 +478,7 @@ TEST_F(V3Container, TwoDaemonsShareOneMappedContainer)
     auto make_params = [&](const IndexedPangenome& pg,
                            const std::string& name) {
         serve::DaemonParams params;
-        params.socketPath =
-            std::string(::testing::TempDir()) + "/" + name + ".sock";
+        params.socketPath = tempPath(name + ".sock");
         params.workers = 2;
         params.queueCapacity = 16;
         params.indexLoadMode = loadModeName(pg.info.mode);

@@ -21,6 +21,7 @@
 #include "io/fd.h"
 #include "serve/frame.h"
 #include "util/rng.h"
+#include "test_tmpdir.h"
 
 namespace mg::serve {
 namespace {
@@ -132,8 +133,7 @@ TEST(FdFullTest, WriteFullToClosedPeerFailsWithoutSignal)
 
 TEST(UnixSocketTest, ListenConnectRoundtrip)
 {
-    const std::string path =
-        std::string(::testing::TempDir()) + "/net_test.sock";
+    const std::string path = test::tempPath("net_test.sock");
     int listener = io::listenUnix(path);
     ASSERT_GE(listener, 0);
 

@@ -24,6 +24,7 @@
 #include "sim/input_sets.h"
 #include "util/common.h"
 #include "util/timer.h"
+#include "test_tmpdir.h"
 
 namespace mg::obs {
 namespace {
@@ -275,8 +276,7 @@ TEST(Emitter, ConcurrentWithWorkerIncrements)
     Registry::ThreadSlab* slabs[2] = { reg.registerThread(0),
                                        reg.registerThread(1) };
 
-    const std::string path =
-        ::testing::TempDir() + "/obs_emitter_test.json";
+    const std::string path = test::tempPath("obs_emitter_test.json");
     MetricsEmitter emitter(reg, path, 0.005);
     emitter.start();
 
@@ -319,7 +319,7 @@ TEST(Emitter, PrometheusExtensionWritesExposition)
     Registry reg;
     CounterId c = reg.counter("mg_test_prom_total", "a counter");
     reg.registerThread(0)->add(c, 9);
-    const std::string path = ::testing::TempDir() + "/obs_test.prom";
+    const std::string path = test::tempPath("obs_test.prom");
     MetricsEmitter emitter(reg, path);
     EXPECT_TRUE(emitter.prometheus());
     Snapshot final_snap = emitter.finalize();
@@ -335,7 +335,7 @@ TEST(Emitter, FinalizeAppendsExtras)
     Registry reg;
     reg.counter("mg_test_base_total", "base");
     reg.registerThread(0);
-    const std::string path = ::testing::TempDir() + "/obs_extras.prom";
+    const std::string path = test::tempPath("obs_extras.prom");
     MetricsEmitter emitter(reg, path);
     MetricValue extra;
     extra.name = "mg_fault_fires_total{site=\"io.read\"}";
@@ -362,7 +362,7 @@ TEST(Trace, ChromeTraceParsesAndCarriesEvents)
         while (spin.nanos() < 1000) {
         }
     }
-    const std::string path = ::testing::TempDir() + "/obs_trace.json";
+    const std::string path = test::tempPath("obs_trace.json");
     std::vector<TraceInstant> instants;
     instants.push_back(TraceInstant{ "watchdog cancel", 0, 0 });
     writeChromeTrace(path, profiler, instants, "obs_test");

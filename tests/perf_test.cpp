@@ -7,6 +7,7 @@
 
 #include "perf/profiler.h"
 #include "util/common.h"
+#include "test_tmpdir.h"
 
 namespace mg::perf {
 namespace {
@@ -113,7 +114,7 @@ TEST(ProfilerTest, DumpCsvWritesRecords)
     {
         ScopedRegion scoped(log, region);
     }
-    std::string path = ::testing::TempDir() + "/mg_profile.csv";
+    std::string path = test::tempPath("mg_profile.csv");
     profiler.dumpCsv(path);
     std::ifstream in(path);
     std::string header;

@@ -38,15 +38,12 @@
 #include "serve/index_manager.h"
 #include "sim/pangenome_gen.h"
 #include "sim/read_sim.h"
+#include "test_tmpdir.h"
 
 namespace mg::serve {
 namespace {
 
-std::string
-tempPath(const std::string& name)
-{
-    return std::string(::testing::TempDir()) + "/" + name;
-}
+using test::tempPath;
 
 class ReloadFixture : public ::testing::Test
 {
@@ -508,20 +505,26 @@ TEST_F(ReloadFixture, StalledPublishYieldsRetryAfterNeverHalfPublished)
     spec.limit = 1;
     fault::arm("serve.swap.publish", spec);
 
+    std::atomic<bool> swapped{false};
     std::thread swapper([&] {
         SwapOutcome outcome =
             daemon->reloadIndex(replacementPath("publish"));
         EXPECT_TRUE(outcome.accepted) << outcome.reason;
+        swapped.store(true);
     });
 
     // Hammer the admission path with unretried calls while the publish
     // window is held open.  Every response must be a *complete* verdict:
     // Ok from generation 1 or 2 with non-empty GAF, or RETRY_AFTER with
-    // a hint.  Anything else is a half-published observation.
+    // a hint.  Anything else is a half-published observation.  Calls go
+    // on until one is issued after the swap returned, so they span the
+    // whole window however the swap's start races the first call.
     Client client(clientParams("publish"));
     size_t retry_after = 0;
     size_t ok = 0;
-    for (int i = 0; i < 400; ++i) {
+    bool after_swap = false;
+    for (int i = 0; i < 400 || !after_swap; ++i) {
+        after_swap = swapped.load();
         Request request;
         request.id = client.nextId();
         request.reads = slice(0, 2);

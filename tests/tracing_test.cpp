@@ -40,15 +40,12 @@
 #include "serve/frame.h"
 #include "sim/pangenome_gen.h"
 #include "sim/read_sim.h"
+#include "test_tmpdir.h"
 
 namespace mg::serve {
 namespace {
 
-std::string
-tempPath(const std::string& name)
-{
-    return std::string(::testing::TempDir()) + "/" + name;
-}
+using test::tempPath;
 
 // --------------------------------------------------------------------
 // Wire compatibility: the trace fields are optional trailing varints.
@@ -698,9 +695,9 @@ TEST_F(TracingFixture, StatsControlAnswersIntrospectionSnapshot)
     // response is written; settle before snapshotting.
     settleCommitted(*daemon, 1);
     for (int spin = 0; spin < 2000; ++spin) {
+        const obs::Snapshot snapshot = daemon->hub().registry().snapshot();
         const obs::MetricValue* done =
-            daemon->hub().registry().snapshot().find(
-                "mg_serve_completed_total{tenant=\"gold\"}");
+            snapshot.find("mg_serve_completed_total{tenant=\"gold\"}");
         if (done != nullptr && done->value >= 1) {
             break;
         }

@@ -14,6 +14,7 @@
 #include "util/rng.h"
 #include "util/str.h"
 #include "util/varint.h"
+#include "test_tmpdir.h"
 
 namespace mg::util {
 namespace {
@@ -85,6 +86,108 @@ TEST(VarintTest, TruncatedInputThrows)
     std::vector<uint8_t> bytes = { 0x80, 0x80 }; // continuation, no end
     ByteReader reader(bytes);
     EXPECT_THROW(reader.getVarint(), Error);
+}
+
+/** One varint decode: value and end position, or the error's code/offset. */
+struct VarintOutcome
+{
+    bool ok = false;
+    uint64_t value = 0;
+    size_t end = 0;
+    StatusCode code = StatusCode::Ok;
+    uint64_t offset = 0;
+
+    bool operator==(const VarintOutcome&) const = default;
+};
+
+VarintOutcome
+decodeVarintAt(const std::vector<uint8_t>& bytes, size_t at, bool checked)
+{
+    ByteReader reader(bytes);
+    reader.seek(at);
+    VarintOutcome out;
+    try {
+        out.value = checked ? reader.getVarintChecked() : reader.getVarint();
+        out.ok = true;
+        out.end = reader.pos();
+    } catch (const StatusError& e) {
+        out.code = e.status().code;
+        out.offset = e.status().offset;
+    }
+    return out;
+}
+
+TEST(VarintTest, FastPathMatchesCheckedPath)
+{
+    // Each case is decoded at offset 3, once with 16 bytes after it (the
+    // fast path) and once at the very end of the span (the checked tail).
+    struct Case
+    {
+        std::vector<uint8_t> bytes;
+        bool ok;
+        uint64_t value;
+        StatusCode code;
+        /** Offset of the error within `bytes`. */
+        size_t offset;
+    };
+    std::vector<Case> cases;
+    for (int len = 1; len <= 10; ++len) {
+        // Smallest and largest values that need exactly `len` bytes.
+        uint64_t lo = len == 1 ? 0 : 1ull << (7 * (len - 1));
+        uint64_t hi = len == 10 ? ~0ull : (1ull << (7 * len)) - 1;
+        for (uint64_t v : {lo, hi}) {
+            std::vector<uint8_t> bytes;
+            putVarint(bytes, v);
+            ASSERT_EQ(bytes.size(), static_cast<size_t>(len));
+            cases.push_back({bytes, true, v, StatusCode::Ok, 0});
+        }
+    }
+    // A 10th byte above 1 carries bits beyond 64.
+    for (uint8_t last : {uint8_t{2}, uint8_t{0x7f}}) {
+        std::vector<uint8_t> bytes(9, 0xff);
+        bytes.push_back(last);
+        cases.push_back({bytes, false, 0, StatusCode::Corrupt, 9});
+    }
+    // 11-byte overlong encodings: the 10th byte still continues.
+    for (uint8_t fill : {uint8_t{0x80}, uint8_t{0xff}}) {
+        std::vector<uint8_t> bytes(10, fill);
+        bytes.push_back(0);
+        cases.push_back({bytes, false, 0, StatusCode::Corrupt, 9});
+        std::vector<uint8_t> one(9, fill);
+        one.push_back(0x81);
+        one.push_back(0);
+        cases.push_back({one, false, 0, StatusCode::Corrupt, 9});
+    }
+    // Truncated: continuation bytes run into the end of the span.
+    for (int len = 1; len <= 9; ++len) {
+        cases.push_back({std::vector<uint8_t>(len, 0x80), false, 0,
+                         StatusCode::Truncated, static_cast<size_t>(len)});
+    }
+
+    const size_t at = 3;
+    for (const Case& c : cases) {
+        for (size_t pad : {size_t{16}, size_t{0}}) {
+            std::vector<uint8_t> bytes(at, 0x55);
+            bytes.insert(bytes.end(), c.bytes.begin(), c.bytes.end());
+            bytes.insert(bytes.end(), pad, 0);
+            VarintOutcome fast = decodeVarintAt(bytes, at, false);
+            VarintOutcome checked = decodeVarintAt(bytes, at, true);
+            SCOPED_TRACE(::testing::Message()
+                         << c.bytes.size() << " bytes, pad " << pad);
+            EXPECT_TRUE(fast == checked);
+            if (c.code == StatusCode::Truncated && pad != 0) {
+                continue; // padding terminates the varint
+            }
+            EXPECT_EQ(checked.ok, c.ok);
+            if (c.ok) {
+                EXPECT_EQ(checked.value, c.value);
+                EXPECT_EQ(checked.end, at + c.bytes.size());
+            } else {
+                EXPECT_EQ(checked.code, c.code);
+                EXPECT_EQ(checked.offset, at + c.offset);
+            }
+        }
+    }
 }
 
 TEST(ByteReaderTest, StringRoundTripAndBounds)
@@ -339,7 +442,7 @@ TEST(StrTest, FixedFormatting)
 
 TEST(CsvTest, WritesHeaderAndEscapesFields)
 {
-    std::string path = ::testing::TempDir() + "/mg_csv_test.csv";
+    std::string path = test::tempPath("mg_csv_test.csv");
     {
         CsvWriter csv(path, {"a", "b"});
         csv.row({"1", "plain"});
