@@ -12,20 +12,12 @@
  *   bench_hotpath [--scale=S] [--out=PATH] [--baseline=PATH] [gbench
  *       flags]                                              full run + JSON
  *   bench_hotpath --smoke [--scale=S]                       quick CTest run
- *   bench_hotpath --guard=PATH                              perf-guard run
  *
  * The smoke mode (CTest label `perf-smoke`) enforces machine-independent
  * invariants of the optimized kernel — zero heap allocations in the
  * steady-state extend loop and a sane cache hit rate — and runs one quick
  * throughput repetition so gross (>20%) kernel regressions surface in CI
  * timing logs.
- *
- * The guard mode (also perf-smoke) protects the vectorized engine: the
- * committed BENCH record must show the >=1.15x extends/sec gain over the
- * BENCH_packed.json baseline on both input-set analogs (checked as
- * committed numbers, the acceptance criterion of the SIMD PR), and the
- * SIMD-vs-scalar throughput ratio is re-measured in-process (machine
- * speed cancels) and must stay within 15% of the committed ratio.
  *
  * The obs-guard mode (bench_hotpath --guard-obs=PATH, ctest
  * perf_guard_obs) protects the telemetry layer's "pay only a pointer
@@ -51,7 +43,6 @@
 #include "obs/hub.h"
 #include "obs/json.h"
 #include "stats/latency.h"
-#include "util/simd.h"
 #include "util/timer.h"
 
 // ------------------------------------------------------------------------
@@ -184,14 +175,10 @@ struct PassResult
  * trace guard can price request tracing at a head-sampling rate.
  */
 PassResult
-measureMapping(const Workload& wl, int reps,
-               util::KernelVariant kernel = util::KernelVariant::Auto,
-               bool lockstep = true, obs::Hub* hub = nullptr,
+measureMapping(const Workload& wl, int reps, obs::Hub* hub = nullptr,
                int trace_every = 0)
 {
     map::MapperParams params;
-    params.extend.kernel = kernel;
-    params.extend.lockstep = lockstep;
     map::Mapper mapper(wl.world->graph(), wl.world->gbwt(),
                        wl.world->minimizers, wl.world->distance, params);
     auto state = mapper.makeState();
@@ -290,17 +277,14 @@ struct ExtendResult
     double extendsPerSec = 0.0;
     double bytesPerExtend = 0.0;
     double allocsPerExtend = 0.0;
-    /** 32-base chunks examined per extension (0 in scalar mode). */
+    /** 32-base chunks examined per extension. */
     double wordsPerExtend = 0.0;
 };
 
 ExtendResult
-measureExtend(const Workload& wl, int reps,
-              util::KernelVariant kernel = util::KernelVariant::Auto)
+measureExtend(const Workload& wl, int reps)
 {
-    map::ExtendParams params = map::MapperParams().extend;
-    params.kernel = kernel;
-    map::Extender extender(wl.world->graph(), params);
+    map::Extender extender(wl.world->graph(), map::MapperParams().extend);
     gbwt::CachedGbwt cache(wl.world->gbwt());
     map::ExtendScratch scratch;
     std::vector<ExtendSample> samples = pickExtendSamples(wl, 256);
@@ -392,46 +376,11 @@ BM_ExtendSteady(benchmark::State& state, const char* input_set)
 
 // --------------------------------------------------------------- reporting
 
-/** Everything measured on one input set: the production configuration
- *  (Auto kernel, lockstep batching) plus the ladder of baselines the
- *  guard ratios are built from. */
+/** Everything measured on one input set. */
 struct InputRecord
 {
-    PassResult map;          // Auto kernel, lockstep batching
-    PassResult mapSeq;       // Auto kernel, sequential walks
-    PassResult mapScalar;    // Scalar kernel, lockstep
-    ExtendResult ext;        // Auto (the dispatched SIMD kernel)
-    ExtendResult extSwar;    // forced SWAR
-    ExtendResult extScalar;  // forced scalar oracle
-
-    double
-    mapSpeedup() const
-    {
-        return mapScalar.readsPerSec > 0.0
-                   ? map.readsPerSec / mapScalar.readsPerSec
-                   : 0.0;
-    }
-    double
-    batchSpeedup() const
-    {
-        return mapSeq.readsPerSec > 0.0
-                   ? map.readsPerSec / mapSeq.readsPerSec
-                   : 0.0;
-    }
-    double
-    extendSpeedup() const
-    {
-        return extScalar.extendsPerSec > 0.0
-                   ? ext.extendsPerSec / extScalar.extendsPerSec
-                   : 0.0;
-    }
-    double
-    swarExtendSpeedup() const
-    {
-        return extScalar.extendsPerSec > 0.0
-                   ? extSwar.extendsPerSec / extScalar.extendsPerSec
-                   : 0.0;
-    }
+    PassResult map;   // the mapping loop, whole capture
+    ExtendResult ext; // the steady-state extend loop
 };
 
 /** Packed-arena footprint of one world's graph. */
@@ -502,24 +451,14 @@ writeJson(const std::string& path, const std::string& baseline_path,
         w.field("read_latency_p50_ns", r.map.p50Nanos);
         w.field("read_latency_p99_ns", r.map.p99Nanos);
         w.field("read_latency_p999_ns", r.map.p999Nanos);
-        w.field("sequential_reads_per_sec", r.mapSeq.readsPerSec);
-        w.field("scalar_reads_per_sec", r.mapScalar.readsPerSec);
-        w.field("swar_extends_per_sec", r.extSwar.extendsPerSec);
-        w.field("scalar_extends_per_sec", r.extScalar.extendsPerSec);
         w.endObject();
     };
     w.beginObject();
     w.field("benchmark", "bench_hotpath");
     w.field("scale", g_scale);
-    const machine::HostCpu& host = machine::hostCpu();
     w.key("cpu").beginObject();
-    w.field("arch", host.arch);
-    w.field("features", host.features);
-    w.field("simd", util::simdLevelName(host.bestLevel));
+    w.field("arch", machine::hostCpu().arch);
     w.endObject();
-    const util::ResolvedKernel kernel =
-        util::resolveKernel(util::KernelVariant::Auto);
-    w.field("kernel", util::kernelVariantName(kernel.effective));
     w.key("results").beginObject();
     emit("A-human", a);
     emit("B-yeast", b);
@@ -528,19 +467,9 @@ writeJson(const std::string& path, const std::string& baseline_path,
     emitArenaJson(w, workload("A-human").world->graph(), "A-human");
     emitArenaJson(w, workload("B-yeast").world->graph(), "B-yeast");
     w.endObject();
-    // The guard section: in-process kernel ratios (machine speed cancels),
-    // the quantities the perf_guard ctest re-measures, plus the gain over
-    // the committed SWAR-era record when a baseline is given.
-    w.key("guard").beginObject();
-    w.field("simd_map_speedup_A", a.mapSpeedup());
-    w.field("simd_extend_speedup_A", a.extendSpeedup());
-    w.field("simd_map_speedup_B", b.mapSpeedup());
-    w.field("simd_extend_speedup_B", b.extendSpeedup());
-    w.field("swar_extend_speedup_A", a.swarExtendSpeedup());
-    w.field("swar_extend_speedup_B", b.swarExtendSpeedup());
-    w.field("batch_map_speedup_A", a.batchSpeedup());
-    w.field("batch_map_speedup_B", b.batchSpeedup());
+    // The gain over a committed record when a baseline is given.
     if (!baseline_path.empty()) {
+        w.key("guard").beginObject();
         double base_a = baselineExtendsPerSec(baseline_path, "A-human");
         double base_b = baselineExtendsPerSec(baseline_path, "B-yeast");
         if (base_a > 0.0 && base_b > 0.0) {
@@ -552,8 +481,8 @@ writeJson(const std::string& path, const std::string& baseline_path,
                          "speedup_vs_packed omitted\n",
                          baseline_path.c_str());
         }
+        w.endObject();
     }
-    w.endObject();
     w.endObject();
     try {
         w.writeFile(path);
@@ -579,80 +508,6 @@ jsonNumber(const std::string& text, const std::string& key)
         return -1.0;
     }
     return std::atof(text.c_str() + at + 1);
-}
-
-/**
- * Perf guard for the vectorized engine, two checks:
- *
- *  1. The committed record must contain speedup_vs_packed_{A,B} >= 1.15 —
- *     the acceptance criterion of the SIMD PR, frozen at record time when
- *     both the new engine and the SWAR-era baseline numbers came from the
- *     same machine.
- *  2. The SIMD-vs-scalar extend speedup on the A analog is re-measured
- *     (best of three in-process A/B passes, so machine speed and load
- *     cancel) and must stay within 15% of the committed ratio.
- */
-int
-guardRun(const std::string& committed_path)
-{
-    std::string text;
-    try {
-        text = io::readFileText(committed_path);
-    } catch (const util::Error& e) {
-        std::fprintf(stderr, "FAIL: cannot read committed record %s: %s\n",
-                     committed_path.c_str(), e.what());
-        return 1;
-    }
-    int failures = 0;
-    for (const char* key : { "speedup_vs_packed_A", "speedup_vs_packed_B" }) {
-        double gain = jsonNumber(text, key);
-        if (gain <= 0.0) {
-            std::fprintf(stderr, "FAIL: %s has no %s entry\n",
-                         committed_path.c_str(), key);
-            ++failures;
-            continue;
-        }
-        std::printf("perf-guard: committed %s = %.3f (floor 1.15)\n", key,
-                    gain);
-        if (gain < 1.15) {
-            std::fprintf(stderr,
-                         "FAIL: committed %s %.3f misses the 1.15x "
-                         "extends/sec target over BENCH_packed.json\n",
-                         key, gain);
-            ++failures;
-        }
-    }
-    double committed = jsonNumber(text, "simd_extend_speedup_A");
-    if (committed <= 0.0) {
-        std::fprintf(stderr,
-                     "FAIL: %s has no simd_extend_speedup_A entry\n",
-                     committed_path.c_str());
-        return 1;
-    }
-    const Workload& wl = workload("A-human");
-    double best = 0.0;
-    for (int attempt = 0; attempt < 3; ++attempt) {
-        ExtendResult simd =
-            measureExtend(wl, 4, util::KernelVariant::Auto);
-        ExtendResult scalar =
-            measureExtend(wl, 4, util::KernelVariant::Scalar);
-        if (scalar.extendsPerSec > 0.0) {
-            best = std::max(best, simd.extendsPerSec /
-                                      scalar.extendsPerSec);
-        }
-    }
-    const double threshold = 0.85 * committed;
-    std::printf("perf-guard A-human: simd/scalar extend speedup %.3f "
-                "(committed %.3f, floor %.3f)\n",
-                best, committed, threshold);
-    if (best < threshold) {
-        std::fprintf(stderr,
-                     "FAIL: SIMD extend speedup regressed >15%% below the "
-                     "committed record (%.3f < %.3f)\n",
-                     best, threshold);
-        ++failures;
-    }
-    return failures == 0 ? 0 : 1;
 }
 
 /**
@@ -686,8 +541,7 @@ guardObsRun(const std::string& committed_path)
         for (int attempt = 0; attempt < 5 && best < 0.98; ++attempt) {
             obs::Hub hub(1);
             PassResult off = measureMapping(wl, 2);
-            PassResult on = measureMapping(
-                wl, 2, util::KernelVariant::Auto, true, &hub);
+            PassResult on = measureMapping(wl, 2, &hub);
             if (off.readsPerSec > 0.0) {
                 best = std::max(best, on.readsPerSec / off.readsPerSec);
             }
@@ -738,10 +592,8 @@ guardTraceRun(const std::string& committed_path)
         double best_full = 0.0;
         for (int attempt = 0; attempt < 5 && best < 0.98; ++attempt) {
             PassResult off = measureMapping(wl, 2);
-            PassResult sampled = measureMapping(
-                wl, 2, util::KernelVariant::Auto, true, nullptr, 100);
-            PassResult full = measureMapping(
-                wl, 2, util::KernelVariant::Auto, true, nullptr, 1);
+            PassResult sampled = measureMapping(wl, 2, nullptr, 100);
+            PassResult full = measureMapping(wl, 2, nullptr, 1);
             if (off.readsPerSec > 0.0) {
                 best =
                     std::max(best, sampled.readsPerSec / off.readsPerSec);
@@ -810,7 +662,6 @@ main(int argc, char** argv)
     bool smoke = false;
     std::string out_path = "BENCH_hotpath.json";
     std::string baseline_path;
-    std::string guard_path;
     std::string guard_obs_path;
     std::string guard_trace_path;
     std::vector<char*> passthrough;
@@ -818,8 +669,6 @@ main(int argc, char** argv)
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--smoke") == 0) {
             smoke = true;
-        } else if (std::strncmp(argv[i], "--guard=", 8) == 0) {
-            guard_path = argv[i] + 8;
         } else if (std::strncmp(argv[i], "--guard-obs=", 12) == 0) {
             guard_obs_path = argv[i] + 12;
         } else if (std::strncmp(argv[i], "--guard-trace=", 14) == 0) {
@@ -834,13 +683,9 @@ main(int argc, char** argv)
             passthrough.push_back(argv[i]);
         }
     }
-    if (smoke || !guard_path.empty() || !guard_obs_path.empty() ||
-        !guard_trace_path.empty()) {
+    if (smoke || !guard_obs_path.empty() || !guard_trace_path.empty()) {
         if (g_scale > 0.05) {
             g_scale = 0.05; // keep CTest fast regardless of the default
-        }
-        if (!guard_path.empty()) {
-            return guardRun(guard_path);
         }
         if (!guard_obs_path.empty()) {
             return guardObsRun(guard_obs_path);
@@ -853,25 +698,13 @@ main(int argc, char** argv)
 
     banner("hotpath", "Hot-path kernel throughput, allocation, and cache "
                       "behaviour (single thread)");
-    std::printf("cpu: %s %s (dispatch: %s)\n",
-                mg::machine::hostCpu().arch.c_str(),
-                mg::machine::hostCpu().features.c_str(),
-                mg::util::kernelVariantName(
-                    mg::util::resolveKernel(mg::util::KernelVariant::Auto)
-                        .effective));
+    std::printf("cpu: %s\n", mg::machine::hostCpu().arch.c_str());
 
-    // Deterministic measurement passes for the JSON record: the dispatched
-    // kernel and its SWAR/scalar baselines back to back, same workload,
-    // same process.
+    // Deterministic measurement passes for the JSON record.
     auto record = [](const Workload& wl) {
-        using mg::util::KernelVariant;
         InputRecord r;
-        r.map = measureMapping(wl, 3, KernelVariant::Auto, true);
-        r.mapSeq = measureMapping(wl, 3, KernelVariant::Auto, false);
-        r.mapScalar = measureMapping(wl, 3, KernelVariant::Scalar, true);
-        r.ext = measureExtend(wl, 20, KernelVariant::Auto);
-        r.extSwar = measureExtend(wl, 20, KernelVariant::Swar);
-        r.extScalar = measureExtend(wl, 20, KernelVariant::Scalar);
+        r.map = measureMapping(wl, 3);
+        r.ext = measureExtend(wl, 20);
         return r;
     };
     auto report = [](const char* name, const InputRecord& r) {
@@ -879,16 +712,13 @@ main(int argc, char** argv)
             "%s: %10.0f reads/s  %8.1f B/read  %6.2f allocs/read"
             "  hit %.4f\n         %10.0f ext/s    %8.1f B/extend  "
             "%6.2f words/ext\n         read latency: p50 %s, p99 %s, "
-            "p999 %s\n         vs scalar: map %.2fx, extend %.2fx  "
-            "(swar %.2fx)  batch: %.2fx\n",
+            "p999 %s\n",
             name, r.map.readsPerSec, r.map.bytesPerRead,
             r.map.allocsPerRead, r.map.hitRate, r.ext.extendsPerSec,
             r.ext.bytesPerExtend, r.ext.wordsPerExtend,
             mg::stats::formatNanos(r.map.p50Nanos).c_str(),
             mg::stats::formatNanos(r.map.p99Nanos).c_str(),
-            mg::stats::formatNanos(r.map.p999Nanos).c_str(),
-            r.mapSpeedup(), r.extendSpeedup(), r.swarExtendSpeedup(),
-            r.batchSpeedup());
+            mg::stats::formatNanos(r.map.p999Nanos).c_str());
     };
     InputRecord rec_a = record(workload("A-human"));
     InputRecord rec_b = record(workload("B-yeast"));

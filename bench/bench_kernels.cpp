@@ -6,16 +6,21 @@
  * pipeline per read, and scheduler dispatch overhead.  These are the
  * building blocks behind every table/figure harness.
  *
- * Before the gbench pass, a match-kernel sweep times every KernelVariant
- * this binary and CPU can run (scalar, swar, and each compiled-in SIMD
- * level) over a range of spans and prints a bases/cycle table (bases/ns
- * where no cycle counter is available) — the per-ISA headroom picture
- * behind ExtendParams::kernel.
+ * Before the gbench pass, a match-kernel sweep times the packed SWAR
+ * match run (util::matchRunPacked, the one the extender runs) against the
+ * per-base oracle (util::matchRunScalar) over a range of spans and prints
+ * a bases/cycle table (bases/ns where no cycle counter is available).
+ *
+ *   bench_kernels --guard    perf guard (ctest perf_guard_hotpath): the
+ *                            same sweep cell at span 32, interleaved
+ *                            SWAR/scalar samples, pass iff the lower 95%
+ *                            bootstrap bound of the median ratio >= 4.0
  */
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,9 +29,9 @@
 #include "map/cluster.h"
 #include "map/seeding.h"
 #include "sched/scheduler.h"
+#include "stats/bootstrap.h"
 #include "util/dna.h"
 #include "util/rng.h"
-#include "util/simd.h"
 #include "util/timer.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -172,109 +177,176 @@ BENCHMARK(BM_SchedulerDispatch)->Arg(0)->Arg(1)->Arg(2);
 
 // ----------------------------------------------------- match-kernel sweep
 
-/** One timeable kernel variant: a display name plus its function. */
-struct SweepKernel
-{
-    std::string name;
-    mg::util::MatchRunFn fn = nullptr;
-};
+/** Match-run signature shared by the swept kernels: common-prefix length
+ *  (up to span) of the packed ranges at a[abase] and b[bbase]. */
+using MatchRunFn = uint32_t (*)(const uint64_t* a, uint64_t abase,
+                                const uint64_t* b, uint64_t bbase,
+                                uint32_t span, uint64_t& words_compared);
 
-/** Every variant this binary AND this CPU can run, widest last. */
-std::vector<SweepKernel>
-sweepKernels()
+uint32_t
+scalarRun(const uint64_t* a, uint64_t abase, const uint64_t* b,
+          uint64_t bbase, uint32_t span, uint64_t& /*words_compared*/)
 {
-    using namespace mg::util;
-    std::vector<SweepKernel> kernels;
-    kernels.push_back(
-        {"scalar", resolveKernel(KernelVariant::Scalar).fn});
-    kernels.push_back({"swar", resolveKernel(KernelVariant::Swar).fn});
-    const CpuFeatures& cpu = cpuFeatures();
-    struct
-    {
-        SimdLevel level;
-        bool available;
-    } levels[] = {
-        {SimdLevel::Neon, cpu.neon},
-        {SimdLevel::Avx2, cpu.avx2},
-        {SimdLevel::Avx512bw, cpu.avx512bw},
-    };
-    for (const auto& entry : levels) {
-        MatchRunFn fn = mg::util::matchRunForLevel(entry.level);
-        if (entry.available && fn != nullptr) {
-            kernels.push_back({simdLevelName(entry.level), fn});
-        }
-    }
-    return kernels;
+    return mg::util::matchRunScalar(a, abase, b, bbase, span);
 }
 
+/** One timeable kernel: a display name plus its function. */
+struct SweepKernel
+{
+    const char* name;
+    MatchRunFn fn;
+};
+
+constexpr SweepKernel kScalar{"scalar", scalarRun};
+constexpr SweepKernel kSwar{"swar", mg::util::matchRunPacked};
+
+#if defined(__x86_64__) || defined(_M_X64)
+constexpr bool kCycles = true;
+#else
+constexpr bool kCycles = false;
+#endif
+
 /**
- * Time every runnable variant over a range of spans on identical random
- * sequences (the all-match case: the kernel streams the full span, which
- * is what separates the ISAs) and print a bases/cycle table — bases/ns
- * when no cycle counter is available.  Offsets rotate through all 32
- * intra-word phases so the shift-carry path is exercised, not just the
- * aligned fast case.
+ * Identical random packed sequences on both sides: every timed call is
+ * the all-match case, so the kernel streams its full span.  Offsets
+ * rotate through all 32 intra-word phases so the shift-carry path is
+ * exercised, not just the aligned fast case.
  */
+class MatchSweep
+{
+  public:
+    MatchSweep()
+    {
+        mg::util::Rng rng(0x51313d);
+        const std::string seq = rng.randomDna(kBases);
+        a_.assign(mg::util::packedBufferWords(kBases), 0);
+        b_.assign(mg::util::packedBufferWords(kBases), 0);
+        mg::util::packAsciiInto(seq, a_.data(), 0);
+        mg::util::packAsciiInto(seq, b_.data(), 0);
+    }
+
+    /** One sweep cell: bases/cycle (bases/ns without a cycle counter) of
+     *  `fn` at `span`, over ~2M bases after an equal warm-up pass. */
+    double
+    basesPerTick(MatchRunFn fn, uint32_t span) const
+    {
+        const uint32_t max_off = kBases - span;
+        const uint32_t reps = std::max<uint32_t>(1, (1u << 21) / span);
+        uint64_t sink = 0;
+        uint64_t words = 0;
+        for (uint32_t r = 0; r < reps; ++r) {
+            const uint64_t off = (r * 33) % max_off;
+            sink += fn(a_.data(), off, b_.data(), off, span, words);
+        }
+#if defined(__x86_64__) || defined(_M_X64)
+        const uint64_t t0 = __rdtsc();
+#endif
+        mg::util::WallTimer timer;
+        for (uint32_t r = 0; r < reps; ++r) {
+            const uint64_t off = (r * 33) % max_off;
+            sink += fn(a_.data(), off, b_.data(), off, span, words);
+        }
+#if defined(__x86_64__) || defined(_M_X64)
+        const double ticks = static_cast<double>(__rdtsc() - t0);
+#else
+        const double ticks = timer.seconds() * 1e9;
+#endif
+        benchmark::DoNotOptimize(sink);
+        const double bases =
+            static_cast<double>(span) * static_cast<double>(reps);
+        return ticks > 0.0 ? bases / ticks : 0.0;
+    }
+
+  private:
+    static constexpr uint32_t kBases = 1u << 16;
+    std::vector<uint64_t> a_;
+    std::vector<uint64_t> b_;
+};
+
+/** Print the sweep table: bases/tick per kernel x span. */
 void
 printMatchKernelTable()
 {
-    using namespace mg::util;
-    constexpr uint32_t kBases = 1u << 16;
     constexpr uint32_t kSpans[] = {32, 128, 512, 4096};
-    mg::util::Rng rng(0x51313d);
-    std::string seq = rng.randomDna(kBases);
-    std::vector<uint64_t> a(packedBufferWords(kBases), 0);
-    std::vector<uint64_t> b(packedBufferWords(kBases), 0);
-    packAsciiInto(seq, a.data(), 0);
-    packAsciiInto(seq, b.data(), 0);
-
-#if defined(__x86_64__) || defined(_M_X64)
-    const bool cycles = true;
-#else
-    const bool cycles = false;
-#endif
-    std::printf("match-kernel sweep (cpu: %s), %s per variant x span, "
-                "all-match inputs:\n",
-                cpuFeatures().summary().c_str(),
-                cycles ? "bases/cycle" : "bases/ns");
+    const MatchSweep sweep;
+    std::printf("match-kernel sweep, %s per kernel x span, all-match "
+                "inputs:\n",
+                kCycles ? "bases/cycle" : "bases/ns");
     std::printf("%10s", "");
     for (uint32_t span : kSpans) {
         std::printf("  span=%-5u", span);
     }
     std::printf("\n");
-    for (const SweepKernel& kernel : sweepKernels()) {
-        std::printf("%10s", kernel.name.c_str());
+    for (const SweepKernel& kernel : {kScalar, kSwar}) {
+        std::printf("%10s", kernel.name);
         for (uint32_t span : kSpans) {
-            const uint32_t max_off = kBases - span;
-            uint64_t sink = 0;
-            uint64_t words = 0;
-            // Calibrate repetitions so each cell measures ~2M bases.
-            const uint32_t reps = std::max<uint32_t>(1, (1u << 21) / span);
-            // Warm-up pass.
-            for (uint32_t r = 0; r < reps; ++r) {
-                uint64_t off = (r * 33) % max_off;
-                sink += kernel.fn(a.data(), off, b.data(), off, span, words);
-            }
-#if defined(__x86_64__) || defined(_M_X64)
-            uint64_t t0 = __rdtsc();
-#endif
-            mg::util::WallTimer timer;
-            for (uint32_t r = 0; r < reps; ++r) {
-                uint64_t off = (r * 33) % max_off;
-                sink += kernel.fn(a.data(), off, b.data(), off, span, words);
-            }
-#if defined(__x86_64__) || defined(_M_X64)
-            double ticks = static_cast<double>(__rdtsc() - t0);
-#else
-            double ticks = timer.seconds() * 1e9;
-#endif
-            benchmark::DoNotOptimize(sink);
-            double total_bases =
-                static_cast<double>(span) * static_cast<double>(reps);
-            std::printf("  %10.2f", ticks > 0.0 ? total_bases / ticks : 0.0);
+            std::printf("  %10.2f", sweep.basesPerTick(kernel.fn, span));
         }
         std::printf("\n");
     }
+}
+
+double
+median(std::vector<double> values)
+{
+    const size_t mid = values.size() / 2;
+    std::nth_element(values.begin(), values.begin() + mid, values.end());
+    if (values.size() % 2 == 1) {
+        return values[mid];
+    }
+    return 0.5 * (values[mid] + *std::max_element(values.begin(),
+                                                  values.begin() + mid));
+}
+
+/**
+ * Perf guard for the extension kernel's compare loop.  Span 32 is the
+ * regime graph nodes put the kernel in (anchors average ~48 bases over
+ * nodes of a few bases).  Each sample times one SWAR and one scalar
+ * sweep cell back to back, alternating which goes first, so drift and
+ * frequency changes hit both sides; the verdict is the lower bound of the
+ * 95% bootstrap CI on the median SWAR/scalar ratio.
+ */
+int
+guardRun()
+{
+    constexpr uint32_t kSpan = 32;
+    constexpr int kSamples = 15;
+    constexpr double kFloor = 4.0;
+    const MatchSweep sweep;
+    std::vector<double> ratios;
+    for (int i = 0; i < kSamples; ++i) {
+        double swar = 0.0;
+        double scalar = 0.0;
+        if (i % 2 == 0) {
+            swar = sweep.basesPerTick(kSwar.fn, kSpan);
+            scalar = sweep.basesPerTick(kScalar.fn, kSpan);
+        } else {
+            scalar = sweep.basesPerTick(kScalar.fn, kSpan);
+            swar = sweep.basesPerTick(kSwar.fn, kSpan);
+        }
+        if (scalar > 0.0) {
+            ratios.push_back(swar / scalar);
+        }
+    }
+    if (ratios.size() < 2) {
+        std::fprintf(stderr, "FAIL: the scalar match run never timed\n");
+        return 1;
+    }
+    const mg::stats::ConfidenceInterval ci =
+        mg::stats::bootstrapCi(ratios, median);
+    std::printf("perf-guard: swar/scalar match-run ratio at span %u, "
+                "median %.2f, 95%% CI [%.2f, %.2f] over %zu samples "
+                "(floor %.1f on the lower bound)\n",
+                kSpan, ci.pointEstimate, ci.lower, ci.upper, ratios.size(),
+                kFloor);
+    if (ci.lower < kFloor) {
+        std::fprintf(stderr,
+                     "FAIL: SWAR match run is not %.1fx the scalar oracle "
+                     "(CI lower bound %.2f)\n",
+                     kFloor, ci.lower);
+        return 1;
+    }
+    return 0;
 }
 
 } // namespace
@@ -282,6 +354,9 @@ printMatchKernelTable()
 int
 main(int argc, char** argv)
 {
+    if (argc == 2 && std::strcmp(argv[1], "--guard") == 0) {
+        return guardRun();
+    }
     printMatchKernelTable();
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) {

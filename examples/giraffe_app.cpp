@@ -7,7 +7,6 @@
  * Run:  ./examples/giraffe_app <graph.mgz|graph.mgz3> <reads.fastq>
  *           [--threads N] [--batch-size B] [--paired]
  *           [--gaf out.gaf] [--k 15] [--w 8]
- *           [--kernel scalar|swar|simd|auto]
  *           [--index out.mgz3]
  *
  * Build-once / map-many: `--index out.mgz3` writes a zero-copy MGZ v3
@@ -34,7 +33,6 @@
 #include "obs/trace.h"
 #include "serve/stop.h"
 #include "util/flags.h"
-#include "util/simd.h"
 #include "util/timer.h"
 
 namespace {
@@ -72,8 +70,6 @@ try {
          .define("gaf", "", "write GAF alignments to this file")
          .define("k", "15", "minimizer k-mer length")
          .define("w", "8", "minimizer window size")
-         .define("kernel", "auto",
-                 "match kernel: scalar | swar | simd | auto")
          .define("index", "",
                  "MGZ v3 container: mmap it when present, else build "
                  "the indexes once and write it (build-once/map-many)")
@@ -134,7 +130,7 @@ try {
     load_options.minimizer.k = static_cast<int>(flags.integer("k"));
     load_options.minimizer.w = static_cast<int>(flags.integer("w"));
     load_options.buildThreads =
-        static_cast<unsigned>(flags.integer("index-build-threads"));
+        static_cast<unsigned>(flags.uinteger("index-build-threads"));
     const std::string index_path = flags.str("index");
     mg::io::IndexedPangenome pangenome;
     if (!index_path.empty() && mg::io::fileExists(index_path)) {
@@ -168,21 +164,11 @@ try {
     timer.reset();
 
     mg::giraffe::ParentParams params;
-    if (!mg::util::parseKernelVariant(flags.str("kernel"),
-                                      params.mapper.extend.kernel)) {
-        std::fprintf(stderr,
-                     "giraffe_app: unknown --kernel '%s' "
-                     "(scalar | swar | simd | auto)\n",
-                     flags.str("kernel").c_str());
-        return 1;
-    }
-    params.numThreads = static_cast<size_t>(flags.integer("threads"));
-    params.batchSize = static_cast<size_t>(flags.integer("batch-size"));
+    params.numThreads = flags.uinteger("threads");
+    params.batchSize = flags.uinteger("batch-size");
     params.budget.wallSeconds = flags.real("deadline");
-    params.budget.maxExtendSteps =
-        static_cast<uint64_t>(flags.integer("max-extend-steps"));
-    params.budget.maxGbwtLookups =
-        static_cast<uint64_t>(flags.integer("max-gbwt-lookups"));
+    params.budget.maxExtendSteps = flags.uinteger("max-extend-steps");
+    params.budget.maxGbwtLookups = flags.uinteger("max-gbwt-lookups");
     params.watchdog = flags.boolean("watchdog");
     params.watchdogParams.stallSeconds = flags.real("watchdog-stall");
     if (flags.str("checkpoint").empty()) {
@@ -205,7 +191,7 @@ try {
     if (telemetry) {
         hub = std::make_unique<mg::obs::Hub>(
             params.numThreads,
-            static_cast<size_t>(flags.integer("flight-ring")));
+            flags.uinteger("flight-ring"));
         mg::obs::installCrashHandler(&hub->flight());
         if (!flags.str("metrics-out").empty()) {
             emitter = std::make_unique<mg::obs::MetricsEmitter>(
@@ -222,8 +208,7 @@ try {
         // an uninterrupted run.
         mg::giraffe::CheckpointRunParams cp;
         cp.dir = flags.str("checkpoint");
-        cp.shardReads =
-            static_cast<uint64_t>(flags.integer("checkpoint-shard"));
+        cp.shardReads = flags.uinteger("checkpoint-shard");
         cp.hub = hub.get();
         cp.stopFlag = mg::serve::stopFlag();
         mg::giraffe::CheckpointRunResult result =

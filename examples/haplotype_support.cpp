@@ -27,7 +27,7 @@ try {
     }
 
     mg::sim::PangenomeParams pparams;
-    pparams.seed = static_cast<uint64_t>(flags.integer("seed"));
+    pparams.seed = flags.uinteger("seed");
     pparams.backboneLength = 15000;
     pparams.haplotypes = 6;
     mg::sim::GeneratedPangenome pg = mg::sim::generatePangenome(pparams);
@@ -40,7 +40,7 @@ try {
 
     mg::sim::ReadSimParams rparams;
     rparams.seed = pparams.seed + 1;
-    rparams.count = static_cast<size_t>(flags.integer("reads"));
+    rparams.count = flags.uinteger("reads");
     rparams.readLength = 120;
     rparams.errorRate = 0.005;
     mg::map::ReadSet reads = mg::sim::simulateReads(pg, rparams);

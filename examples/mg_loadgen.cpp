@@ -208,8 +208,7 @@ try {
     const std::vector<TenantLoad> loads =
         parseLoadSpec(flags.str("tenants"));
     const double duration = flags.real("duration");
-    const size_t per_request =
-        static_cast<size_t>(flags.integer("reads-per-request"));
+    const size_t per_request = flags.uinteger("reads-per-request");
     mg::util::require(per_request > 0, "--reads-per-request must be > 0");
 
     // The replayed reads: one input-set analog, shared by every tenant
@@ -224,10 +223,8 @@ try {
 
     mg::resilience::WorkBudget budget;
     budget.wallSeconds = flags.real("deadline");
-    budget.maxExtendSteps =
-        static_cast<uint64_t>(flags.integer("max-extend-steps"));
-    budget.maxGbwtLookups =
-        static_cast<uint64_t>(flags.integer("max-gbwt-lookups"));
+    budget.maxExtendSteps = flags.uinteger("max-extend-steps");
+    budget.maxGbwtLookups = flags.uinteger("max-gbwt-lookups");
 
     const size_t connections = static_cast<size_t>(
         std::max<long long>(1, flags.integer("connections")));
@@ -246,9 +243,8 @@ try {
             mg::serve::ClientParams cparams;
             cparams.socketPath = flags.str("socket");
             cparams.maxAttempts =
-                static_cast<uint32_t>(flags.integer("max-attempts"));
-            cparams.seed =
-                static_cast<uint64_t>(flags.integer("seed")) + slot;
+                static_cast<uint32_t>(flags.uinteger("max-attempts"));
+            cparams.seed = flags.uinteger("seed") + slot;
             cparams.traceSample = flags.real("trace-sample");
             if (!flags.str("capture").empty()) {
                 cparams.capturePrefix =
@@ -345,7 +341,7 @@ try {
         swapper = std::thread([&] {
             mg::serve::ClientParams cparams;
             cparams.socketPath = flags.str("socket");
-            cparams.seed = static_cast<uint64_t>(flags.integer("seed"));
+            cparams.seed = flags.uinteger("seed");
             mg::serve::Client client(cparams);
             mg::util::WallTimer clock;
             double next_swap = swap_every;

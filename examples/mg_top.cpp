@@ -203,7 +203,7 @@ try {
     cparams.socketPath = flags.str("socket");
     mg::serve::Client client(cparams);
 
-    const uint64_t count = static_cast<uint64_t>(flags.integer("count"));
+    const uint64_t count = flags.uinteger("count");
     const double interval = flags.real("interval");
     const bool raw = flags.boolean("raw");
     const bool clear = flags.boolean("clear") && count != 1 && !raw;

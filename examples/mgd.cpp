@@ -180,34 +180,28 @@ try {
 
     mg::serve::DaemonParams params;
     params.socketPath = flags.str("socket");
-    params.workers = static_cast<size_t>(flags.integer("workers"));
-    params.queueCapacity =
-        static_cast<size_t>(flags.integer("queue-capacity"));
+    params.workers = flags.uinteger("workers");
+    params.queueCapacity = flags.uinteger("queue-capacity");
     if (!flags.str("tenants").empty()) {
         params.tenants = mg::serve::parseTenantSpec(flags.str("tenants"));
     }
     params.retryBaseMillis =
-        static_cast<uint32_t>(flags.integer("retry-base-millis"));
-    params.maxReadsPerRequest =
-        static_cast<size_t>(flags.integer("max-reads-per-request"));
+        static_cast<uint32_t>(flags.uinteger("retry-base-millis"));
+    params.maxReadsPerRequest = flags.uinteger("max-reads-per-request");
     params.drainDeadlineSeconds = flags.real("drain-deadline");
     params.watchdog = flags.boolean("watchdog");
     params.watchdogParams.stallSeconds = flags.real("watchdog-stall");
     params.maxBudget.wallSeconds = flags.real("max-deadline");
-    params.maxBudget.maxExtendSteps =
-        static_cast<uint64_t>(flags.integer("max-extend-steps"));
-    params.maxBudget.maxGbwtLookups =
-        static_cast<uint64_t>(flags.integer("max-gbwt-lookups"));
+    params.maxBudget.maxExtendSteps = flags.uinteger("max-extend-steps");
+    params.maxBudget.maxGbwtLookups = flags.uinteger("max-gbwt-lookups");
     params.indexLoadMode = load_mode;
     params.indexLoadSeconds = load_seconds;
     params.gafGenerationComment = flags.boolean("gaf-generation-comment");
     params.traceSample = flags.real("trace-sample");
     params.traceOut = flags.str("trace-out");
-    params.traceExemplars =
-        static_cast<size_t>(flags.integer("trace-exemplars"));
+    params.traceExemplars = flags.uinteger("trace-exemplars");
     params.traceDumpPrefix = flags.str("trace-dump");
-    params.flightRingSize =
-        static_cast<size_t>(flags.integer("flight-ring"));
+    params.flightRingSize = flags.uinteger("flight-ring");
 
     // File-backed pangenomes move into the daemon (the IndexManager must
     // own the mapping so a hot swap can retire and unmap it); generated

@@ -9,7 +9,7 @@
  *
  * Run:  ./examples/minigiraffe_app <graph.mgz|graph.mgz3> <seeds.bin>
  *           [--threads N] [--batch-size B] [--cache-capacity C]
- *           [--scheduler openmp|vg|steal] [--kernel scalar|swar|simd|auto]
+ *           [--scheduler openmp|vg|steal]
  *           [--prefilter F] [--output out.ext]
  *           [--profile regions.csv] [--metrics-out m.prom|m.json]
  *           [--trace-out trace.json] [--summary-json summary.json]
@@ -30,7 +30,6 @@
 #include "obs/trace.h"
 #include "serve/stop.h"
 #include "util/flags.h"
-#include "util/simd.h"
 #include "util/timer.h"
 
 namespace {
@@ -90,8 +89,6 @@ try {
          .define("cache-capacity", "256",
                  "initial CachedGBWT capacity (0 = no caching)")
          .define("scheduler", "openmp", "openmp | vg | steal")
-         .define("kernel", "auto",
-                 "match kernel: scalar | swar | simd | auto")
          .define("prefilter", "0",
                  "skip seeds scoring below this fraction of the read's "
                  "best chain (0 = off; output is no longer golden)")
@@ -151,25 +148,14 @@ try {
                 pangenome.info.loadSeconds);
 
     mg::giraffe::ProxyParams params;
-    params.numThreads = static_cast<size_t>(flags.integer("threads"));
-    params.batchSize = static_cast<size_t>(flags.integer("batch-size"));
-    params.mapper.gbwtCacheCapacity =
-        static_cast<size_t>(flags.integer("cache-capacity"));
+    params.numThreads = flags.uinteger("threads");
+    params.batchSize = flags.uinteger("batch-size");
+    params.mapper.gbwtCacheCapacity = flags.uinteger("cache-capacity");
     params.scheduler = mg::sched::schedulerFromName(flags.str("scheduler"));
-    if (!mg::util::parseKernelVariant(flags.str("kernel"),
-                                      params.mapper.extend.kernel)) {
-        std::fprintf(stderr,
-                     "minigiraffe: unknown --kernel '%s' "
-                     "(scalar | swar | simd | auto)\n",
-                     flags.str("kernel").c_str());
-        return 1;
-    }
     params.mapper.prefilterFraction = flags.real("prefilter");
     params.budget.wallSeconds = flags.real("deadline");
-    params.budget.maxExtendSteps =
-        static_cast<uint64_t>(flags.integer("max-extend-steps"));
-    params.budget.maxGbwtLookups =
-        static_cast<uint64_t>(flags.integer("max-gbwt-lookups"));
+    params.budget.maxExtendSteps = flags.uinteger("max-extend-steps");
+    params.budget.maxGbwtLookups = flags.uinteger("max-gbwt-lookups");
     params.watchdog = flags.boolean("watchdog");
     params.watchdogParams.stallSeconds = flags.real("watchdog-stall");
     params.stopFlag = mg::serve::stopFlag();
@@ -190,7 +176,7 @@ try {
     if (telemetry) {
         hub = std::make_unique<mg::obs::Hub>(
             params.numThreads,
-            static_cast<size_t>(flags.integer("flight-ring")));
+            flags.uinteger("flight-ring"));
         mg::obs::installCrashHandler(&hub->flight());
         if (!flags.str("metrics-out").empty()) {
             emitter = std::make_unique<mg::obs::MetricsEmitter>(

@@ -34,7 +34,7 @@ main(int argc, char** argv)
 
     // 1. A small pangenome: ~20 kb backbone, 8 haplotypes.
     mg::sim::PangenomeParams pparams;
-    pparams.seed = static_cast<uint64_t>(flags.integer("seed"));
+    pparams.seed = flags.uinteger("seed");
     pparams.backboneLength = 20000;
     pparams.haplotypes = 8;
     mg::sim::GeneratedPangenome pg = mg::sim::generatePangenome(pparams);
@@ -65,7 +65,7 @@ main(int argc, char** argv)
     //    against the *loaded* pangenome.
     mg::sim::ReadSimParams rparams;
     rparams.seed = pparams.seed + 1;
-    rparams.count = static_cast<size_t>(flags.integer("reads"));
+    rparams.count = flags.uinteger("reads");
     rparams.readLength = 120;
     rparams.errorRate = 0.01;
     mg::map::ReadSet reads = mg::sim::simulateReads(pg, rparams);

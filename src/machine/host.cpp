@@ -14,25 +14,9 @@ hostCpu()
 #else
         h.arch = "unknown";
 #endif
-        h.features = util::cpuFeatures().summary();
-        h.bestLevel = util::bestSimdLevel();
         return h;
     }();
     return host;
-}
-
-std::string
-hostCpuJson()
-{
-    const HostCpu& h = hostCpu();
-    std::string json = "{\"arch\":\"";
-    json += h.arch;
-    json += "\",\"features\":\"";
-    json += h.features;
-    json += "\",\"simd\":\"";
-    json += util::simdLevelName(h.bestLevel);
-    json += "\"}";
-    return json;
 }
 
 } // namespace mg::machine

@@ -1,34 +1,24 @@
 /**
  * @file
- * The *host* machine's capabilities, as opposed to the modelled Table II
- * machines in config.h.  The mapping kernel dispatches its match loop on
- * the CPU's SIMD feature set at runtime (util/simd.h); every run record
- * (JSON summaries, bench outputs) embeds this description so results from
- * a heterogeneous fleet stay attributable to the ISA that produced them.
+ * The *host* machine, as opposed to the modelled Table II machines in
+ * config.h.  Every run record (JSON summaries, bench outputs) embeds this
+ * description so results stay attributable to the architecture that
+ * produced them.
  */
 #pragma once
 
 #include <string>
 
-#include "util/simd.h"
-
 namespace mg::machine {
 
-/** The host CPU as the dispatcher sees it, probed once per process. */
+/** The host CPU, described once per process. */
 struct HostCpu
 {
     /** Compile-target architecture ("x86_64", "aarch64", "unknown"). */
     std::string arch;
-    /** Wide-ISA summary ("avx2+avx512bw", "neon", "swar64"). */
-    std::string features;
-    /** Widest SIMD level runtime dispatch can select. */
-    util::SimdLevel bestLevel = util::SimdLevel::None;
 };
 
-/** The cached probe (first call probes via util::cpuFeatures()). */
+/** The cached description (first call fills it in). */
 const HostCpu& hostCpu();
-
-/** JSON object fragment: {"arch":"...","features":"...","simd":"..."}. */
-std::string hostCpuJson();
 
 } // namespace mg::machine

@@ -10,7 +10,6 @@ namespace mg::map {
 
 namespace {
 
-using detail::BatchLane;
 using detail::WalkState;
 
 /** Deterministic "is a better than b" for finished walk prefixes. */
@@ -114,11 +113,10 @@ threadScratch()
 }
 
 /**
- * Per-walk invariants of the node-step loop, hoisted once per walk (or
- * per batch) so the per-node code touches only registers.  Graph nodes
- * average a handful of bases, so the step loop runs every few
- * nanoseconds; re-deriving kernel selection, tracer, and budget per node
- * is measurable at that rate.
+ * Per-walk invariants of the node-step loop, hoisted once per walk so the
+ * per-node code touches only registers.  Graph nodes average a handful of
+ * bases, so the step loop runs every few nanoseconds; re-deriving the
+ * tracer and budget per node is measurable at that rate.
  */
 struct StepCtx
 {
@@ -129,51 +127,16 @@ struct StepCtx
     uint64_t& wordsCompared;
     util::MemTracer* tracer;
     resilience::ReadBudget* budget;
-    util::MatchRunFn kernel;
-    uint32_t wideCutoff;
-    bool scalar;
 };
-
-/** Build the hoisted step context for one walk or batch. */
-StepCtx
-makeStepCtx(const graph::VariationGraph& graph, const ExtendParams& params,
-            const util::ResolvedKernel& kernel, gbwt::CachedGbwt& cache,
-            ExtendScratch& scratch)
-{
-    // Kernel selection, flattened for the short-span regime.  Graph nodes
-    // are 1–32 bases, so most match runs never reach a wide vector step;
-    // paying an indirect call (which also blocks inlining of the SWAR
-    // loop) on every run costs more than the wide compare saves.  The
-    // inlined SWAR kernel therefore serves every sub-wide span for both
-    // the Swar and Simd variants — exactly the code the wide kernels run
-    // as their tail — and the function pointer is reserved for spans long
-    // enough to amortize it.  The Scalar oracle keeps the indirect call
-    // unconditionally: it exists to measure the reference loop, not to be
-    // fast.  Match lengths are identical on every path by construction.
-    return StepCtx{
-        graph,
-        params,
-        cache,
-        scratch.successors,
-        scratch.wordsCompared,
-        cache.tracer(),
-        scratch.budget,
-        kernel.fn,
-        kernel.effective == util::KernelVariant::Simd ? 64u : UINT32_MAX,
-        kernel.effective == util::KernelVariant::Scalar,
-    };
-}
 
 /**
  * Advance `s` by one node: match-run within the current node, then
  * either finish the walk state (dead end, query exhausted, or no
  * haplotype-supported successor — `best` updated; returns true) or
  * branch, pushing all but the smallest-handle successor onto `stack`
- * and continuing `s` in place (returns false).  Shared verbatim by the
- * sequential walk and every lockstep lane, which is what makes their
- * results identical by construction; always_inline clones the loop into
- * both callers so the SWAR kernel and the best-prefix updates fold into
- * each walk loop exactly as they would hand-written.
+ * and continuing `s` in place (returns false).  always_inline folds the
+ * SWAR kernel and the best-prefix updates into the walk loop exactly as
+ * they would be hand-written.
  */
 [[gnu::always_inline]] inline bool
 stepNode(const StepCtx& ctx, WalkState& s, const util::PackedSpan& query,
@@ -217,14 +180,9 @@ stepNode(const StepCtx& ctx, WalkState& s, const util::PackedSpan& query,
                                                  query_size - s.queryPos);
         const uint64_t gbase = node_seq.first + s.nodeOffset;
         const uint64_t qbase = query.first + s.queryPos;
-        uint32_t run;
-        if (span >= ctx.wideCutoff || ctx.scalar) {
-            run = ctx.kernel(node_seq.words, gbase, query.words, qbase, span,
-                             ctx.wordsCompared);
-        } else {
-            run = util::matchRunPacked(node_seq.words, gbase, query.words,
-                                       qbase, span, ctx.wordsCompared);
-        }
+        const uint32_t run =
+            util::matchRunPacked(node_seq.words, gbase, query.words, qbase,
+                                 span, ctx.wordsCompared);
         if (run > 0) {
             s.score += static_cast<int32_t>(run) * ctx.params.matchScore;
             s.nodeOffset += run;
@@ -347,8 +305,13 @@ Extender::walkPacked(graph::Handle start, uint32_t offset,
         stack.push_back(std::move(init));
     }
     size_t explored = 0;
-    const StepCtx ctx =
-        makeStepCtx(graph_, params_, kernel_, cache, scratch);
+    const StepCtx ctx{graph_,
+                      params_,
+                      cache,
+                      scratch.successors,
+                      scratch.wordsCompared,
+                      cache.tracer(),
+                      budget};
 
     bool capped = false;
     while (!stack.empty() && !capped) {
@@ -379,152 +342,6 @@ Extender::walkPacked(graph::Handle start, uint32_t offset,
         }
     }
     return best;
-}
-
-void
-Extender::extendSeedsBatch(const SeedVector& seeds, const uint32_t* chosen,
-                           size_t count, std::string_view sequence,
-                           gbwt::CachedGbwt& cache, ExtendScratch& scratch,
-                           std::vector<GaplessExtension>& out) const
-{
-    if (count == 0) {
-        return;
-    }
-    // Pack the oriented read once (both strands); consecutive batches of
-    // the same oriented read hit the (pointer, length) key.
-    scratch.query.ensure(sequence);
-
-    std::vector<BatchLane>& lanes = scratch.lanes;
-    std::vector<uint32_t>& order = scratch.laneOrder;
-    const size_t nlanes = 2 * count;
-    if (lanes.size() < nlanes) {
-        lanes.resize(nlanes);
-    }
-
-    // Lane setup: 2i = right walk, 2i+1 = left walk of chosen[i].  Reset
-    // reuses every buffer (clear keeps capacity), so warm batches allocate
-    // nothing.
-    for (size_t i = 0; i < count; ++i) {
-        const Seed& seed = seeds[chosen[i]];
-        const graph::Position& pos = seed.position;
-        const uint32_t read_offset = seed.readOffset;
-        MG_ASSERT(read_offset < sequence.size());
-        const uint32_t node_len =
-            static_cast<uint32_t>(graph_.length(pos.handle.id()));
-        MG_ASSERT(pos.offset < node_len);
-
-        BatchLane& right = lanes[2 * i];
-        right.query = scratch.query.suffix(read_offset);
-        right.cur.state = gbwt::SearchState(pos.handle, 0, 0);
-        right.cur.nodeOffset = pos.offset;
-
-        BatchLane& left = lanes[2 * i + 1];
-        left.query = scratch.query.rcPrefix(read_offset);
-        left.cur.state = gbwt::SearchState(pos.handle.flip(), 0, 0);
-        left.cur.nodeOffset = node_len - pos.offset;
-    }
-    for (size_t l = 0; l < nlanes; ++l) {
-        BatchLane& lane = lanes[l];
-        lane.stack.clear();
-        lane.explored = 0;
-        lane.done = false;
-        lane.best.consumed = 0;
-        lane.best.score = 0;
-        lane.best.endOffset = 0;
-        lane.best.mismatchOffsets.clear();
-        lane.best.path.clear();
-        WalkState& s = lane.cur;
-        s.queryPos = 0;
-        s.mismatches = 0;
-        s.score = 0;
-        s.path.clear();
-        s.mismatchOffsets.clear();
-        s.bestQueryPos = 0;
-        s.bestEndOffset = 0;
-        s.bestScore = 0;
-        s.bestMismatches = 0;
-        s.bestPathLen = 0;
-    }
-
-    // Root lookups in handle order: lanes rooted on the same or adjacent
-    // records (seeds of one cluster sit on the same bubble chain) share
-    // one decode instead of interleaving distant probes.
-    order.clear();
-    for (uint32_t l = 0; l < nlanes; ++l) {
-        order.push_back(l);
-    }
-    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-        return lanes[a].cur.state.node.packed() <
-               lanes[b].cur.state.node.packed();
-    });
-    size_t live = 0;
-    for (size_t i = 0; i < order.size(); ++i) {
-        const uint32_t l = order[i];
-        BatchLane& lane = lanes[l];
-        if (lane.query.size == 0) {
-            lane.done = true;
-            continue;
-        }
-        gbwt::SearchState root = cache.find(lane.cur.state.node);
-        if (root.empty()) {
-            lane.done = true; // no haplotype visits this orientation
-            continue;
-        }
-        lane.cur.state = root;
-        order[live++] = l;
-    }
-    order.resize(live);
-
-    // Lockstep rounds: every live lane advances one node per round, with
-    // each frontier prefetched at the round boundary — by the time a
-    // lane steps, its record load is in flight or shared with an earlier
-    // lane this round.  Lanes keep their root order (seeds of one
-    // cluster sit on the same bubble chain, so frontiers stay adjacent
-    // as walks advance together); re-sorting every round costs more than
-    // the residual locality it buys.  The live list compacts in place —
-    // no per-round rebuild.  Walks are independent, so per-lane
-    // traversal (and therefore every result) is exactly the sequential
-    // walkPacked's.
-    const StepCtx ctx =
-        makeStepCtx(graph_, params_, kernel_, cache, scratch);
-    while (!order.empty()) {
-        for (uint32_t l : order) {
-            cache.prefetch(lanes[l].cur.state.node);
-        }
-        size_t write = 0;
-        for (uint32_t l : order) {
-            BatchLane& lane = lanes[l];
-            if (++lane.explored > params_.maxWalkStates) {
-                // Walk-state cap: the whole walk stops, exactly like the
-                // sequential path (remaining branches discarded).
-                finishWalk(lane.cur, lane.best);
-                lane.done = true;
-                continue;
-            }
-            if (stepNode(ctx, lane.cur, lane.query, lane.stack,
-                         lane.best)) {
-                if (lane.stack.empty()) {
-                    lane.done = true;
-                    continue;
-                }
-                lane.cur = std::move(lane.stack.back());
-                lane.stack.pop_back();
-            }
-            order[write++] = l;
-        }
-        order.resize(write);
-    }
-
-    // Merge each seed's two walks and emit non-empty extensions in seed
-    // order — the exact emission the sequential loop produces.
-    for (size_t i = 0; i < count; ++i) {
-        GaplessExtension ext =
-            mergeWalks(seeds[chosen[i]], sequence.size(),
-                       lanes[2 * i + 1].best, lanes[2 * i].best);
-        if (ext.readEnd > ext.readBegin) {
-            out.push_back(std::move(ext));
-        }
-    }
 }
 
 DirectionalWalk

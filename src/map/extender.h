@@ -38,7 +38,7 @@
 #include "map/extension.h"
 #include "map/seed.h"
 #include "resilience/budget.h"
-#include "util/simd.h"
+#include "util/dna.h"
 #include "util/small_vector.h"
 
 namespace mg::map {
@@ -61,24 +61,6 @@ struct ExtendParams
      * (more states, more work, spurious recombinant alignments).
      */
     bool haplotypeConsistent = true;
-    /**
-     * Match-kernel variant for the inner compare loop.  Auto resolves to
-     * the widest SIMD ISA the running CPU supports (AVX-512BW / AVX2 /
-     * NEON) and degrades to the 64-bit SWAR loop when none is present.
-     * Scalar and Swar force the bit-identical reference loops — A/B
-     * baselines and property-test oracles, not production modes.  Every
-     * variant produces identical walks (golden + kernel-matrix tests).
-     */
-    util::KernelVariant kernel = util::KernelVariant::Auto;
-    /**
-     * Advance a cluster's pending extensions in lockstep (extendSeedsBatch)
-     * instead of one walk at a time, so frontier prefetches and GBWT
-     * record accesses amortize across lanes.  Results are byte-identical
-     * to the sequential path; the mapper spills to sequential walks when a
-     * work budget or memory tracer is attached (their charge/trace order
-     * is defined in terms of the sequential walk).
-     */
-    bool lockstep = true;
 };
 
 /** Result of extending in one direction. */
@@ -116,22 +98,6 @@ struct WalkState
     int32_t bestScore = 0;
     size_t bestMismatches = 0;
     size_t bestPathLen = 0;
-};
-
-/**
- * One lane of a lockstep batch: a full directional walk (its own DFS
- * stack, best-so-far prefix, and explored count) advanced one node per
- * round.  Lane 2i is seed i's right walk, lane 2i+1 its left walk.
- * Buffers persist inside ExtendScratch, so a warm batch allocates nothing.
- */
-struct BatchLane
-{
-    std::vector<WalkState> stack; // this lane's DFS worklist
-    WalkState cur;                // the state being advanced
-    DirectionalWalk best;         // best finished prefix so far
-    util::PackedSpan query;       // this direction's packed query view
-    size_t explored = 0;          // walk states visited (cap accounting)
-    bool done = false;            // walk finished; best is final
 };
 
 } // namespace detail
@@ -200,8 +166,6 @@ struct ExtendScratch
     std::vector<gbwt::SearchState> successors; // per-node branch buffer
     PackedQuery query;                         // per-read packed query
     std::vector<uint64_t> walkQuery;           // string walk() overload
-    std::vector<detail::BatchLane> lanes;      // lockstep batch lanes
-    std::vector<uint32_t> laneOrder;           // per-round frontier order
     /** 32-base SWAR chunks XORed (bench: words compared per extension). */
     uint64_t wordsCompared = 0;
     /**
@@ -221,15 +185,10 @@ class Extender
 {
   public:
     Extender(const graph::VariationGraph& graph, ExtendParams params)
-        : graph_(graph), params_(params),
-          kernel_(util::resolveKernel(params.kernel))
+        : graph_(graph), params_(params)
     {}
 
     const ExtendParams& params() const { return params_; }
-
-    /** The match kernel this extender resolved at construction (what
-     *  actually runs: Auto never appears as `effective`). */
-    const util::ResolvedKernel& kernel() const { return kernel_; }
 
     /**
      * Extend one seed against the (oriented) read sequence.  `sequence`
@@ -239,25 +198,6 @@ class Extender
     GaplessExtension extendSeed(const Seed& seed, std::string_view sequence,
                                 gbwt::CachedGbwt& cache,
                                 ExtendScratch& scratch) const;
-
-    /**
-     * Lockstep batch mode: extend `count` seeds (indices into `seeds`) of
-     * one oriented read together.  All 2*count directional walks advance
-     * one node per round, lanes visited in frontier-record order with the
-     * next round's records prefetched at the round boundary, so GBWT
-     * accesses to a shared region amortize across lanes.  Appends the
-     * non-empty extensions to `out` in seed order — byte-identical to
-     * calling extendSeed per seed and appending non-empty results.
-     *
-     * Walks are mutually independent (the GBWT cache only memoizes), so
-     * the interleaving cannot change any lane's result; callers that
-     * attach an *active* work budget or a memory tracer must use the
-     * sequential path instead, because those observe walk order.
-     */
-    void extendSeedsBatch(const SeedVector& seeds, const uint32_t* chosen,
-                          size_t count, std::string_view sequence,
-                          gbwt::CachedGbwt& cache, ExtendScratch& scratch,
-                          std::vector<GaplessExtension>& out) const;
 
     /** Convenience overload using a per-thread scratch (tests, tools). */
     GaplessExtension extendSeed(const Seed& seed, std::string_view sequence,
@@ -296,7 +236,6 @@ class Extender
 
     const graph::VariationGraph& graph_;
     ExtendParams params_;
-    util::ResolvedKernel kernel_;
 };
 
 } // namespace mg::map

@@ -209,20 +209,6 @@ Mapper::processUntilThresholdC(const Read& read, const SeedVector& seeds,
             state.flight->stage(obs::ReadStage::Extend);
         }
         perf::ScopedRegion region(state.log, regionExtend_);
-        // Lockstep batch path: all of the cluster's walks advance together
-        // so their GBWT record accesses amortize.  Byte-identical to the
-        // sequential loop below, but the budget's charge order and the
-        // tracer's access order are defined by sequential walks — spill
-        // whenever either observer is attached.
-        if (extender_.params().lockstep && !state.budget.active() &&
-            state.cache().tracer() == nullptr) {
-            result.extensionsAttempted +=
-                static_cast<uint32_t>(chosen.size());
-            extender_.extendSeedsBatch(seeds, chosen.data(), chosen.size(),
-                                       oriented, state.cache(),
-                                       state.extendScratch, candidates);
-            continue;
-        }
         for (uint32_t idx : chosen) {
             // Cancellation point between seeds of a cluster.
             if (state.budget.exhausted()) {

@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -79,10 +80,23 @@ Flags::integer(const std::string& name) const
 {
     const std::string& v = entry(name).value;
     char* end = nullptr;
-    int64_t out = std::strtoll(v.c_str(), &end, 10);
+    errno = 0;
+    const long long out = std::strtoll(v.c_str(), &end, 10);
     require(end && *end == '\0' && !v.empty(), program_, ": flag --", name,
             " expects an integer, got '", v, "'");
+    require(errno != ERANGE, program_, ": flag --", name,
+            " is out of range, got '", v, "'");
     return out;
+}
+
+uint64_t
+Flags::uinteger(const std::string& name) const
+{
+    const int64_t out = integer(name);
+    require(out >= 0, program_, ": flag --", name,
+            " expects a non-negative integer, got '", entry(name).value,
+            "'");
+    return static_cast<uint64_t>(out);
 }
 
 double

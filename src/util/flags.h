@@ -34,9 +34,16 @@ class Flags
      */
     bool parse(int argc, const char* const* argv);
 
-    /** Typed accessors for a registered flag's value. */
+    /**
+     * Typed accessors for a registered flag's value.  Each throws
+     * mg::util::Error naming the flag when the value does not parse;
+     * integer() also rejects values outside the int64_t range.
+     */
     const std::string& str(const std::string& name) const;
     int64_t integer(const std::string& name) const;
+    /** integer() that also rejects negative values: the accessor for
+     *  counts, sizes and caps, which callers store unsigned. */
+    uint64_t uinteger(const std::string& name) const;
     double real(const std::string& name) const;
     bool boolean(const std::string& name) const;
 

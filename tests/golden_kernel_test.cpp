@@ -12,7 +12,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "giraffe/alignment.h"
@@ -25,6 +27,7 @@
 #include "map/mapper.h"
 #include "sim/input_sets.h"
 #include "util/dna.h"
+#include "util/rng.h"
 
 namespace mg::map {
 namespace {
@@ -399,8 +402,28 @@ TEST_P(GoldenKernel, MapResultsAndGafMatchPreOverhaulReference)
 INSTANTIATE_TEST_SUITE_P(InputSets, GoldenKernel,
                          ::testing::Values("A-human", "B-yeast"));
 
-/** The walk itself, state reuse across many calls: sweep seeds through one
- *  Extender+scratch against per-call reference walks. */
+/** Field-by-field equality of a production walk and a reference walk. */
+void
+expectSameWalk(const DirectionalWalk& got, const RefWalk& ref,
+               const std::string& where)
+{
+    ASSERT_EQ(got.consumed, ref.consumed) << where;
+    ASSERT_EQ(got.score, ref.score) << where;
+    ASSERT_EQ(got.endOffset, ref.endOffset) << where;
+    ASSERT_TRUE(std::equal(got.path.begin(), got.path.end(),
+                           ref.path.begin(), ref.path.end()))
+        << where;
+    ASSERT_TRUE(std::equal(got.mismatchOffsets.begin(),
+                           got.mismatchOffsets.end(),
+                           ref.mismatchOffsets.begin(),
+                           ref.mismatchOffsets.end()))
+        << where;
+}
+
+/** The walk itself, state reuse across many calls: one Extender+scratch
+ *  against per-call reference walks, over two input sets — every seed
+ *  position, then random nodes, offsets and orientations (starts that
+ *  seeding never produces, including dead and haplotype-free ones). */
 TEST(GoldenKernelWalk, WalkMatchesReferenceAcrossOrientations)
 {
     GoldenWorld world = buildGolden("B-yeast", 0.02);
@@ -417,27 +440,42 @@ TEST(GoldenKernelWalk, WalkMatchesReferenceAcrossOrientations)
             std::string oriented = seed.onReverseRead
                 ? util::reverseComplement(entry.read.sequence)
                 : entry.read.sequence;
-            DirectionalWalk got = extender.walk(
-                seed.position.handle, seed.position.offset,
-                std::string_view(oriented).substr(seed.readOffset), cache,
-                scratch);
-            RefWalk ref = refWalk(
-                graph, params, seed.position.handle, seed.position.offset,
-                std::string_view(oriented).substr(seed.readOffset),
-                ref_cache);
-            ASSERT_EQ(got.consumed, ref.consumed);
-            ASSERT_EQ(got.score, ref.score);
-            ASSERT_EQ(got.endOffset, ref.endOffset);
-            ASSERT_TRUE(std::equal(got.path.begin(), got.path.end(),
-                                   ref.path.begin(), ref.path.end()));
-            ASSERT_TRUE(std::equal(got.mismatchOffsets.begin(),
-                                   got.mismatchOffsets.end(),
-                                   ref.mismatchOffsets.begin(),
-                                   ref.mismatchOffsets.end()));
+            const std::string_view query =
+                std::string_view(oriented).substr(seed.readOffset);
+            DirectionalWalk got =
+                extender.walk(seed.position.handle, seed.position.offset,
+                              query, cache, scratch);
+            RefWalk ref = refWalk(graph, params, seed.position.handle,
+                                  seed.position.offset, query, ref_cache);
+            ASSERT_NO_FATAL_FAILURE(
+                expectSameWalk(got, ref, entry.read.name));
             ++checked;
         }
     }
     EXPECT_GT(checked, 100u);
+
+    util::Rng rng(109);
+    size_t nontrivial = 0;
+    for (int trial = 0; trial < 600; ++trial) {
+        graph::NodeId id =
+            static_cast<graph::NodeId>(1 + rng.uniform(graph.numNodes()));
+        graph::Handle handle(id, rng.chance(0.5));
+        uint32_t offset =
+            static_cast<uint32_t>(rng.uniform(graph.length(id)));
+        const std::string& read =
+            world.set.reads.reads[rng.uniform(world.set.reads.size())]
+                .sequence;
+        size_t from = rng.uniform(read.size());
+        std::string_view query = std::string_view(read).substr(from);
+        DirectionalWalk got =
+            extender.walk(handle, offset, query, cache, scratch);
+        RefWalk ref = refWalk(graph, params, handle, offset, query,
+                              ref_cache);
+        ASSERT_NO_FATAL_FAILURE(expectSameWalk(
+            got, ref, "random start, trial " + std::to_string(trial)));
+        nontrivial += ref.consumed > 0;
+    }
+    EXPECT_GT(nontrivial, 50u); // the comparison must exercise real walks
 }
 
 } // namespace

@@ -1,33 +1,26 @@
 /**
- * Kernel-matrix suite: every KernelVariant × walk mode must be observably
- * identical.  The dispatch layer (util/simd) promises that Scalar, Swar,
- * Simd, and Auto produce the same match lengths, and the extension engine
- * promises that lockstep batching reorders only the schedule, never the
- * result — so the full pipeline must emit byte-identical GAF under every
- * combination.  The suite also pins the degrade path (a Simd request on a
- * CPU without wide units falls back to Swar and keeps working, never
- * crashes) and the one-pass successorStatesInto against the per-edge
- * extend() formulation it replaced.
+ * Kernel-matrix suite: the extension engine's supporting pieces against
+ * their reference formulations — the one-pass successorStatesInto against
+ * the per-edge extend() it replaced, and the score prefilter against the
+ * unfiltered mapper.  The walk itself is checked against the per-base
+ * oracle by golden_kernel_test and packed_dna_test.
  *
- * Registered under the `kernel-matrix` ctest label; the asan/tsan presets
- * include it so the forced-variant walks also run sanitized.
+ * Registered under the `kernel-matrix` ctest label (with those two
+ * suites); the asan/tsan presets include the label so the packed walks
+ * also run sanitized.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "giraffe/alignment.h"
 #include "giraffe/parent.h"
 #include "index/distance.h"
 #include "index/minimizer.h"
-#include "io/gaf.h"
 #include "io/reads_bin.h"
 #include "map/mapper.h"
 #include "sim/input_sets.h"
-#include "util/simd.h"
 
 namespace mg::map {
 namespace {
@@ -57,119 +50,6 @@ buildWorld(const std::string& input_set, double scale)
                                    giraffe::ParentParams());
     world.capture = parent.capturePreprocessing(world.set.reads);
     return world;
-}
-
-/** Map every captured read under one kernel/mode combination. */
-struct PipelineRun
-{
-    std::vector<MapResult> results;
-    std::string gaf;
-};
-
-PipelineRun
-runPipeline(const MatrixWorld& world, util::KernelVariant kernel,
-            bool lockstep)
-{
-    MapperParams params;
-    params.extend.kernel = kernel;
-    params.extend.lockstep = lockstep;
-    Mapper mapper(world.set.pangenome.graph, world.set.pangenome.gbwt,
-                  world.minimizers, world.distance, params);
-    auto state = mapper.makeState();
-
-    PipelineRun run;
-    std::vector<giraffe::Alignment> alignments;
-    ReadSet reads;
-    for (const io::ReadWithSeeds& entry : world.capture.entries) {
-        MapResult result =
-            mapper.mapFromSeeds(entry.read, entry.seeds, *state);
-        alignments.push_back(giraffe::postProcess(
-            entry.read.name, result.extensions,
-            giraffe::PostProcessParams()));
-        reads.reads.push_back(entry.read);
-        run.results.push_back(std::move(result));
-    }
-    run.gaf = io::formatGaf(alignments, reads, world.set.pangenome.graph);
-    return run;
-}
-
-void
-expectIdenticalResults(const PipelineRun& got, const PipelineRun& ref,
-                       const std::string& combo)
-{
-    ASSERT_EQ(got.results.size(), ref.results.size()) << combo;
-    for (size_t r = 0; r < got.results.size(); ++r) {
-        const MapResult& g = got.results[r];
-        const MapResult& e = ref.results[r];
-        ASSERT_EQ(g.extensions.size(), e.extensions.size())
-            << combo << " read " << r;
-        for (size_t i = 0; i < g.extensions.size(); ++i) {
-            EXPECT_EQ(g.extensions[i], e.extensions[i])
-                << combo << " read " << r << " extension " << i;
-            EXPECT_EQ(g.extensions[i].str(), e.extensions[i].str())
-                << combo << " read " << r << " extension " << i;
-        }
-    }
-    EXPECT_EQ(got.gaf, ref.gaf)
-        << combo << ": GAF must be byte-identical";
-}
-
-class KernelMatrix : public ::testing::TestWithParam<const char*>
-{};
-
-TEST_P(KernelMatrix, GafByteIdenticalAcrossVariantsAndWalkModes)
-{
-    MatrixWorld world = buildWorld(GetParam(), 0.04);
-    ASSERT_FALSE(world.capture.entries.empty());
-
-    // Reference: the scalar oracle on the sequential walk.
-    PipelineRun ref =
-        runPipeline(world, util::KernelVariant::Scalar, false);
-    EXPECT_FALSE(ref.gaf.empty());
-
-    const util::KernelVariant variants[] = {
-        util::KernelVariant::Scalar,
-        util::KernelVariant::Swar,
-        util::KernelVariant::Simd,
-        util::KernelVariant::Auto,
-    };
-    for (util::KernelVariant variant : variants) {
-        for (bool lockstep : {false, true}) {
-            PipelineRun got = runPipeline(world, variant, lockstep);
-            expectIdenticalResults(
-                got, ref,
-                std::string(util::kernelVariantName(variant)) +
-                    (lockstep ? "/lockstep" : "/sequential"));
-        }
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(InputSets, KernelMatrix,
-                         ::testing::Values("A-human", "B-yeast"));
-
-/**
- * A Simd request on any CPU resolves to something runnable: the widest
- * compiled-and-available level, or the Swar fallback when the host has no
- * wide units — and the resolved kernel actually maps reads.  This is the
- * degrade path CI machines without AVX exercise for real.
- */
-TEST(KernelMatrixDispatch, SimdRequestAlwaysResolvesRunnable)
-{
-    const util::ResolvedKernel kernel =
-        util::resolveKernel(util::KernelVariant::Simd);
-    EXPECT_NE(kernel.fn, nullptr);
-    if (kernel.level == util::SimdLevel::None) {
-        // No wide ISA on this host: the request degrades to Swar.
-        EXPECT_EQ(kernel.effective, util::KernelVariant::Swar);
-    } else {
-        EXPECT_EQ(kernel.effective, util::KernelVariant::Simd);
-    }
-
-    MatrixWorld world = buildWorld("B-yeast", 0.02);
-    PipelineRun got = runPipeline(world, util::KernelVariant::Simd, true);
-    PipelineRun ref =
-        runPipeline(world, util::KernelVariant::Swar, false);
-    expectIdenticalResults(got, ref, "simd-degrade");
 }
 
 /**

@@ -2,30 +2,25 @@
  * Property suite for the 2-bit packed sequence substrate: pack/unpack and
  * reverse-complement round-trips, shift-carry chunk reads at every offset,
  * the canonicalization policy, the packed SequenceStore, and — the core of
- * the suite — 10k randomized match-run trials pitting every dispatchable
- * kernel variant (scalar, SWAR, and each wide-SIMD level this binary and
- * CPU can run) against a per-character ground truth, including
- * word-boundary starts, runs ending exactly on word and vector-lane
- * edges, adversarial tail lengths, span cutoffs, and sanitized non-ACGT
- * input.  Registered like every other mg_test, so ASan+UBSan MG_SANITIZE
- * builds run the whole suite under both sanitizers.
+ * the suite — 10k randomized match-run trials pitting both match-run
+ * kernels (the scalar oracle and the SWAR loop the extender runs) against
+ * a per-character ground truth, including word-boundary starts, runs
+ * ending exactly on word edges, adversarial tail lengths, span cutoffs,
+ * and sanitized non-ACGT input.  Registered under the `kernel-matrix`
+ * label, so the asan/tsan presets run the packed pad-word reads
+ * sanitized.
  */
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "gbwt/cached_gbwt.h"
 #include "graph/sequence_store.h"
-#include "map/extender.h"
-#include "sim/input_sets.h"
 #include "util/common.h"
 #include "util/dna.h"
 #include "util/rng.h"
-#include "util/simd.h"
 
 namespace mg::util {
 namespace {
@@ -172,26 +167,23 @@ charMatchRun(std::string_view a, std::string_view b, uint32_t span)
     return i;
 }
 
-/** Every match-run function this binary and this CPU can execute. */
+/** Match-run signature shared by the kernels under test. */
+using MatchRunFn = uint32_t (*)(const uint64_t* a, uint64_t abase,
+                                const uint64_t* b, uint64_t bbase,
+                                uint32_t span, uint64_t& words_compared);
+
+uint32_t
+scalarRun(const uint64_t* a, uint64_t abase, const uint64_t* b,
+          uint64_t bbase, uint32_t span, uint64_t& /*words_compared*/)
+{
+    return matchRunScalar(a, abase, b, bbase, span);
+}
+
+/** Both match-run kernels: the scalar oracle and the SWAR loop. */
 std::vector<std::pair<std::string, MatchRunFn>>
 availableMatchRunFns()
 {
-    std::vector<std::pair<std::string, MatchRunFn>> fns;
-    fns.emplace_back("scalar", resolveKernel(KernelVariant::Scalar).fn);
-    fns.emplace_back("swar", resolveKernel(KernelVariant::Swar).fn);
-    const CpuFeatures& cpu = cpuFeatures();
-    const std::pair<SimdLevel, bool> levels[] = {
-        {SimdLevel::Neon, cpu.neon},
-        {SimdLevel::Avx2, cpu.avx2},
-        {SimdLevel::Avx512bw, cpu.avx512bw},
-    };
-    for (const auto& [level, available] : levels) {
-        MatchRunFn fn = matchRunForLevel(level);
-        if (available && fn != nullptr) {
-            fns.emplace_back(simdLevelName(level), fn);
-        }
-    }
-    return fns;
+    return {{"scalar", scalarRun}, {"swar", matchRunPacked}};
 }
 
 TEST(PackedDnaTest, MatchRunAllVariantsVsCharGroundTruth)
@@ -203,9 +195,9 @@ TEST(PackedDnaTest, MatchRunAllVariantsVsCharGroundTruth)
         // Word-boundary coverage: starts anywhere in the first two words.
         uint64_t abase = rng.uniform(64);
         uint64_t bbase = rng.uniform(64);
-        // Spans up to just past the widest vector step (256 bases), with
-        // every tail length 0–63 hit often, so each wide loop sees both
-        // "too short, straight to tail" and "wide step plus ragged tail".
+        // Spans up to 300 bases, with every tail length 0–63 hit often, so
+        // the SWAR loop sees both single-chunk runs and several full
+        // chunks plus a ragged tail.
         uint32_t span = static_cast<uint32_t>(
             trial % 2 == 0 ? rng.uniform(100) : rng.uniform(300));
         std::string q = rng.randomDna(span);
@@ -244,9 +236,9 @@ TEST(PackedDnaTest, MatchRunAllVariantsVsCharGroundTruth)
             // the packed buffers keep matching beyond it.
             break;
         case 4: {
-            // Mismatch straddling a vector-lane boundary: one base before
-            // or after the 32/64/128/256-base marks (relative to the
-            // span start), the off-by-one hot spots of every wide loop.
+            // Mismatch straddling a chunk boundary: one base before or
+            // after the 32/64/128/256-base marks (relative to the span
+            // start), the off-by-one hot spots of a chunked loop.
             if (span == 0) {
                 break;
             }
@@ -269,8 +261,8 @@ TEST(PackedDnaTest, MatchRunAllVariantsVsCharGroundTruth)
                 << " bbase " << bbase << " span " << span;
         }
         // Chunk-count bounds hold for the SWAR kernel specifically: one
-        // XOR per started 32-base block of the scanned prefix.  (Vector
-        // kernels count full wide steps, scalar counts nothing.)
+        // XOR per started 32-base block of the scanned prefix.  (The
+        // scalar oracle counts nothing.)
         uint64_t words = 0;
         uint32_t swar =
             matchRunPacked(a.data(), abase, b.data(), bbase, span, words);
@@ -319,9 +311,9 @@ TEST(PackedDnaTest, MatchRunVariantsOnSanitizedInput)
 TEST(PackedDnaTest, MatchRunAdversarialTails)
 {
     // Long identical prefixes with the first difference placed in every
-    // tail position 0–63 after each wide-step multiple, at every intra-
-    // word phase of the a-side: the tail handoff (wide loop -> SWAR
-    // fallback) must be seamless for every variant.
+    // tail position 0–63 after several chunk multiples, at every intra-
+    // word phase of the a-side: the last partial chunk must be exact for
+    // both kernels.
     const auto fns = availableMatchRunFns();
     Rng rng(111);
     for (uint32_t stride : {uint32_t{0}, uint32_t{64}, uint32_t{128},
@@ -410,76 +402,3 @@ TEST(PackedSequenceStoreTest, FootprintReportsResidentAndReserved)
 
 } // namespace
 } // namespace mg::graph
-
-namespace mg::map {
-namespace {
-
-/** Every forced kernel variant must produce identical walks, field by
- *  field — the dispatch-level guarantee behind ExtendParams::kernel. */
-TEST(PackedExtenderTest, AllKernelVariantsAgreeOnSimWorldWalks)
-{
-    sim::InputSet set = sim::buildInputSet(sim::inputSetSpec("B-yeast"), 0.02);
-    const graph::VariationGraph& graph = set.pangenome.graph;
-
-    const util::KernelVariant variants[] = {
-        util::KernelVariant::Scalar,
-        util::KernelVariant::Swar,
-        util::KernelVariant::Simd, // degrades to Swar when no wide ISA
-        util::KernelVariant::Auto,
-    };
-    struct Forced
-    {
-        std::unique_ptr<Extender> extender;
-        std::unique_ptr<gbwt::CachedGbwt> cache;
-        ExtendScratch scratch;
-    };
-    std::vector<Forced> forced;
-    for (util::KernelVariant variant : variants) {
-        ExtendParams params;
-        params.kernel = variant;
-        Forced f;
-        f.extender = std::make_unique<Extender>(graph, params);
-        f.cache = std::make_unique<gbwt::CachedGbwt>(set.pangenome.gbwt);
-        // Resolution never yields Auto and only yields Simd when runnable.
-        EXPECT_NE(f.extender->kernel().effective,
-                  util::KernelVariant::Auto);
-        forced.push_back(std::move(f));
-    }
-
-    util::Rng rng(109);
-    size_t nontrivial = 0;
-    for (int trial = 0; trial < 600; ++trial) {
-        graph::NodeId id =
-            static_cast<graph::NodeId>(1 + rng.uniform(graph.numNodes()));
-        graph::Handle handle(id, rng.chance(0.5));
-        uint32_t offset =
-            static_cast<uint32_t>(rng.uniform(graph.length(id)));
-        const std::string& read =
-            set.reads.reads[rng.uniform(set.reads.size())].sequence;
-        size_t from = rng.uniform(read.size());
-        std::string_view query = std::string_view(read).substr(from);
-
-        DirectionalWalk ref = forced[0].extender->walk(
-            handle, offset, query, *forced[0].cache, forced[0].scratch);
-        for (size_t v = 1; v < forced.size(); ++v) {
-            DirectionalWalk got = forced[v].extender->walk(
-                handle, offset, query, *forced[v].cache,
-                forced[v].scratch);
-            const char* name = util::kernelVariantName(
-                forced[v].extender->kernel().effective);
-            ASSERT_EQ(got.consumed, ref.consumed)
-                << name << " trial " << trial;
-            ASSERT_EQ(got.score, ref.score) << name << " trial " << trial;
-            ASSERT_EQ(got.endOffset, ref.endOffset)
-                << name << " trial " << trial;
-            ASSERT_TRUE(got.path == ref.path) << name << " trial " << trial;
-            ASSERT_TRUE(got.mismatchOffsets == ref.mismatchOffsets)
-                << name << " trial " << trial;
-        }
-        nontrivial += ref.consumed > 0;
-    }
-    EXPECT_GT(nontrivial, 50u); // the comparison must exercise real walks
-}
-
-} // namespace
-} // namespace mg::map

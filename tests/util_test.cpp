@@ -399,6 +399,55 @@ TEST(FlagsTest, BadIntegerValueThrows)
     EXPECT_THROW(flags.integer("n"), Error);
 }
 
+/** Message of the Error an accessor throws ("" when it does not throw). */
+template <typename Fn>
+std::string
+thrownMessage(Fn&& fn)
+{
+    try {
+        fn();
+    } catch (const Error& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(FlagsTest, NegativeUnsignedValueIsRejectedNamingTheFlag)
+{
+    Flags flags("prog");
+    flags.define("threads", "1", "");
+    const char* argv[] = {"--threads", "-1"};
+    ASSERT_TRUE(flags.parse(2, argv));
+    EXPECT_EQ(flags.integer("threads"), -1); // a valid signed value
+    const std::string msg = thrownMessage([&] { flags.uinteger("threads"); });
+    EXPECT_NE(msg.find("--threads"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("-1"), std::string::npos) << msg;
+}
+
+TEST(FlagsTest, OverflowingIntegerIsRejected)
+{
+    Flags flags("prog");
+    flags.define("threads", "1", "").define("low", "1", "");
+    const char* argv[] = {"--threads", "99999999999999999999", "--low",
+                          "-99999999999999999999"};
+    ASSERT_TRUE(flags.parse(4, argv));
+    const std::string msg = thrownMessage([&] { flags.integer("threads"); });
+    EXPECT_NE(msg.find("--threads"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("out of range"), std::string::npos) << msg;
+    EXPECT_THROW(flags.uinteger("threads"), Error);
+    EXPECT_THROW(flags.integer("low"), Error);
+}
+
+TEST(FlagsTest, ValidUnsignedValuesParse)
+{
+    Flags flags("prog");
+    flags.define("batch-size", "512", "").define("cap", "0", "");
+    const char* argv[] = {"--batch-size", "9223372036854775807"};
+    ASSERT_TRUE(flags.parse(2, argv));
+    EXPECT_EQ(flags.uinteger("batch-size"), uint64_t{9223372036854775807u});
+    EXPECT_EQ(flags.uinteger("cap"), 0u); // the default
+}
+
 // ------------------------------------------------------------------- str
 
 TEST(StrTest, SplitPreservesEmptyFields)
