@@ -420,10 +420,9 @@ expectSameWalk(const DirectionalWalk& got, const RefWalk& ref,
         << where;
 }
 
-/** The walk itself, state reuse across many calls: one Extender+scratch
- *  against per-call reference walks, over two input sets — every seed
- *  position, then random nodes, offsets and orientations (starts that
- *  seeding never produces, including dead and haplotype-free ones). */
+/** The walk itself, state reuse across many calls: sweep every seed
+ *  position through one Extender+scratch against per-call reference
+ *  walks. */
 TEST(GoldenKernelWalk, WalkMatchesReferenceAcrossOrientations)
 {
     GoldenWorld world = buildGolden("B-yeast", 0.02);
@@ -453,6 +452,22 @@ TEST(GoldenKernelWalk, WalkMatchesReferenceAcrossOrientations)
         }
     }
     EXPECT_GT(checked, 100u);
+}
+
+/** The two walk kernels — the packed SWAR extender and the per-base
+ *  reference walk — must agree field by field from random nodes, offsets
+ *  and orientations: starts that seeding never produces, including dead
+ *  and haplotype-free ones. */
+TEST(PackedExtenderTest, AllKernelVariantsAgreeOnSimWorldWalks)
+{
+    sim::InputSet set =
+        sim::buildInputSet(sim::inputSetSpec("B-yeast"), 0.02);
+    const graph::VariationGraph& graph = set.pangenome.graph;
+    ExtendParams params;
+    Extender extender(graph, params);
+    gbwt::CachedGbwt cache(set.pangenome.gbwt);
+    gbwt::CachedGbwt ref_cache(set.pangenome.gbwt);
+    ExtendScratch scratch;
 
     util::Rng rng(109);
     size_t nontrivial = 0;
@@ -463,8 +478,7 @@ TEST(GoldenKernelWalk, WalkMatchesReferenceAcrossOrientations)
         uint32_t offset =
             static_cast<uint32_t>(rng.uniform(graph.length(id)));
         const std::string& read =
-            world.set.reads.reads[rng.uniform(world.set.reads.size())]
-                .sequence;
+            set.reads.reads[rng.uniform(set.reads.size())].sequence;
         size_t from = rng.uniform(read.size());
         std::string_view query = std::string_view(read).substr(from);
         DirectionalWalk got =
